@@ -45,6 +45,12 @@ type accum struct {
 // it the accumulator switches to map mode.
 const maxDenseCells = 1 << 20
 
+// denseFits reports whether init picks a dense table for l symbols and
+// nd distance slots.
+func denseFits(l, nd int) bool {
+	return int64(l)*int64(nd)*int64((l+63)/64*64) <= maxDenseCells
+}
+
 // init prepares the accumulator for an alphabet of l symbols and nd
 // distance slots. Storage is reused when capacity allows. The dense
 // table, row bitmap, and dirty tracking all rely on the invariant that
@@ -56,9 +62,9 @@ func (ac *accum) init(l, nd int) {
 	ac.dirty = ac.dirty[:0]
 	ac.nw = (l + 63) / 64
 	ac.rowLen = ac.nw * 64
-	cells := int64(l) * int64(nd) * int64(ac.rowLen)
-	if cells <= maxDenseCells {
-		if int64(cap(ac.dense)) < cells {
+	if denseFits(l, nd) {
+		cells := l * nd * ac.rowLen
+		if cap(ac.dense) < cells {
 			ac.dense = make([]int32, cells)
 		}
 		ac.dense = ac.dense[:cells]

@@ -26,17 +26,56 @@ func measureBest(n int, f func(b *testing.B)) float64 {
 	return best
 }
 
-// TestBenchMineCoreRegressionGate is the repo's first benchmark
-// regression gate: it re-measures the production mining path
-// (accumulateBlocked) at the recorded BenchmarkMineCore shapes and
-// fails if ns/op regressed more than 20% against BENCH_5.json. Skipped
-// under -short; run explicitly via `make bench-mine`.
+// measureRatio returns best(num)/best(den) over n alternating runs of
+// each: interleaving puts both bodies under the same machine load, and
+// min-of-N discards the noise, which only ever adds time. The ratio of
+// two same-process measurements carries over between machines where
+// absolute ns/op does not.
+func measureRatio(n int, num, den func(b *testing.B)) float64 {
+	bestNum, bestDen := math.MaxFloat64, math.MaxFloat64
+	for i := 0; i < n; i++ {
+		bestNum = min(bestNum, measureBest(1, num))
+		bestDen = min(bestDen, measureBest(1, den))
+	}
+	return bestNum / bestDen
+}
+
+// TestBenchMineCoreRegressionGate is the mining-core regression gate: it
+// measures the production path (accumulateBlocked) against the seed
+// unit in the same process at the BenchmarkMineCore shapes and fails if
+// blocked lost its advantage: it must stay at least 1.25× faster than
+// the seed on fig6 and 5× faster on hub. BENCH_5.json recorded
+// blocked/seed at 0.45 (fig6) and 0.091 (hub); a 2-vCPU shared host
+// reads 0.56–0.61 and 0.10–0.11, so the bounds sit clear of noise while
+// a fall back to the seed's per-pair enumeration (1.0) still fails.
+// Skipped under -short.
 func TestBenchMineCoreRegressionGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark regression gate skipped in -short mode")
 	}
-	if _, err := os.Stat(bench5Path); err != nil {
-		t.Skipf("no recorded %s: %v", bench5Path, err)
+	for _, c := range []struct {
+		shape string
+		bound float64
+	}{{"fig6", 0.8}, {"hub", 0.2}} {
+		ratio := measureRatio(3,
+			func(b *testing.B) {
+				benchAccumulate(b, c.shape, func(m *miner, ac *accum) { m.accumulateBlocked(ac) })
+			},
+			func(b *testing.B) { benchSeed(b, c.shape) })
+		t.Logf("%s: blocked/seed = %.3f (bound %.2f)", c.shape, ratio, c.bound)
+		if ratio > c.bound {
+			t.Errorf("%s: blocked/seed = %.3f, want ≤ %.2f", c.shape, ratio, c.bound)
+		}
+	}
+}
+
+// TestBenchMineCoreAbsoluteGate compares the blocked path's absolute
+// ns/op against BENCH_5.json and fails past a 20% slowdown. Absolute
+// numbers only mean something on the recording box, so the gate is
+// opt-in: it runs only with TREEMINE_BENCH_GATE=1 (`make bench-gate`).
+func TestBenchMineCoreAbsoluteGate(t *testing.T) {
+	if os.Getenv("TREEMINE_BENCH_GATE") != "1" {
+		t.Skip("absolute-ns gate runs only with TREEMINE_BENCH_GATE=1 (make bench-gate)")
 	}
 	recs, err := benchutil.LoadBenchRecords(bench5Path)
 	if err != nil {

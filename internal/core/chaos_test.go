@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -373,6 +374,37 @@ func TestParallelCancelledReturnsContextError(t *testing.T) {
 	}
 	if _, err := TDistMatrixParallelCtx(ctx, forest, VariantDistOccur, opts.Options, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("TDistMatrixParallelCtx error = %v, want Canceled", err)
+	}
+}
+
+// flipCtx is a context whose Err turns to Canceled from its n-th call
+// on: cancellation landing part-way through a forest, deterministically
+// and without timing.
+type flipCtx struct {
+	context.Context
+	n     int32
+	calls atomic.Int32
+}
+
+func (c *flipCtx) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestParallelSerialCancelBetweenTrees is the regression test for the
+// single-worker batch path, which once checked ctx only before mining
+// the whole forest: at every worker count, cancellation that lands
+// mid-forest must surface as Canceled.
+func TestParallelSerialCancelBetweenTrees(t *testing.T) {
+	forest := shardChaosForest(41, 40, 25)
+	opts := DefaultForestOptions()
+	for _, workers := range []int{1, 2} {
+		ctx := &flipCtx{Context: context.Background(), n: 10}
+		if _, err := MineForestParallelCtx(ctx, forest, opts, workers); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: error = %v after cancellation at ctx check %d, want Canceled", workers, err, ctx.n)
+		}
 	}
 }
 

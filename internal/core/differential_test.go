@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,9 +15,16 @@ import (
 // plain string-keyed support map. Every production forest miner —
 // serial, parallel, streamed — is differentially pinned against it.
 func naiveForestOracle(trees []*tree.Tree, opts ForestOptions) []FrequentPair {
+	return forestSupport(trees, opts, NaiveMine)
+}
+
+// forestSupport is the reference shape of Multiple_Tree_Mining: mine
+// each tree to an ItemSet, count one support per tree and item in a
+// string-keyed map, and keep the items with support ≥ MinSup.
+func forestSupport(trees []*tree.Tree, opts ForestOptions, mine func(*tree.Tree, Options) ItemSet) []FrequentPair {
 	support := make(map[Key]int)
 	for _, t := range trees {
-		items := NaiveMine(t, opts.Options)
+		items := mine(t, opts.Options)
 		if opts.IgnoreDist {
 			items = items.IgnoreDist()
 		}
@@ -56,9 +64,45 @@ func randDifferentialForest(rng *rand.Rand, nt, size, alpha int) []*tree.Tree {
 	return out
 }
 
+// growingTrees returns caterpillars (a spine, one leaf per spine node)
+// whose labels are drawn from a huge alphabet, so nearly every node
+// brings a fresh label while the pair count stays linear in tree size:
+// appended to a forest, they push a shard's alphabet past the
+// dense-table limit (1,024 labels at a single distance slot, fewer at
+// more) mid-stream, after the leading trees were counted in the dense
+// pending table.
+func growingTrees(rng *rand.Rand) []*tree.Tree {
+	lbl := func() string { return fmt.Sprintf("g%d", rng.Intn(1<<30)) }
+	out := make([]*tree.Tree, 7)
+	for i := range out {
+		b := tree.NewBuilder()
+		spine := b.Root(lbl())
+		for j := 0; j < 90; j++ {
+			b.Child(spine, lbl())
+			spine = b.Child(spine, lbl())
+		}
+		out[i] = b.MustBuild()
+	}
+	return out
+}
+
+// readShard calls one of the shard's reads — each drains the pending
+// table — chosen by k.
+func readShard(sh *SupportShard, k int) {
+	switch k % 3 {
+	case 0:
+		sh.Len()
+	case 1:
+		sh.Snapshot()
+	case 2:
+		sh.Finalize(1)
+	}
+}
+
 // streamVariants runs MineForestStream over the same forest at several
 // worker counts and batch sizes (including batch 1, which exercises a
-// merge per tree) and reports the first divergence from want.
+// round per tree), with the shard read between rounds, and reports the
+// first divergence from want.
 func streamVariants(t *testing.T, forest []*tree.Tree, opts ForestOptions, want []FrequentPair) bool {
 	t.Helper()
 	cases := []StreamConfig{
@@ -67,6 +111,12 @@ func streamVariants(t *testing.T, forest []*tree.Tree, opts ForestOptions, want 
 		{Workers: 4, BatchSize: 64},
 	}
 	for _, cfg := range cases {
+		rounds := 0
+		cfg.AfterRound = func(sh *SupportShard) error {
+			rounds++
+			readShard(sh, rounds)
+			return nil
+		}
 		sh, err := MineForestStreamShard(NewSliceIterator(forest), opts, cfg)
 		if err != nil {
 			t.Logf("stream cfg=%+v: %v", cfg, err)
@@ -84,17 +134,53 @@ func streamVariants(t *testing.T, forest []*tree.Tree, opts ForestOptions, want 
 	return true
 }
 
+// forestMinersAgree checks every forest miner against the naive oracle
+// on one forest: MineForest, MineForestParallel at 1, 2, 4, and extra
+// workers, the stream variants, and a shard fed by AddTree with reads
+// interleaved at random points.
+func forestMinersAgree(t *testing.T, rng *rand.Rand, forest []*tree.Tree, opts ForestOptions, extraWorkers int) bool {
+	t.Helper()
+	want := naiveForestOracle(forest, opts)
+	if got := MineForest(forest, opts); !reflect.DeepEqual(got, want) {
+		t.Logf("opts=%+v: MineForest %v != oracle %v", opts, got, want)
+		return false
+	}
+	for _, workers := range []int{1, 2, 4, extraWorkers} {
+		if got := MineForestParallel(forest, opts, workers); !reflect.DeepEqual(got, want) {
+			t.Logf("opts=%+v workers=%d: MineForestParallel %v != oracle %v", opts, workers, got, want)
+			return false
+		}
+	}
+	sh := NewSupportShard(opts)
+	for _, tr := range forest {
+		sh.AddTree(tr)
+		if k := rng.Intn(6); k < 3 {
+			readShard(sh, k)
+		}
+	}
+	if got := sh.Finalize(opts.MinSup); !reflect.DeepEqual(got, want) {
+		t.Logf("opts=%+v: AddTree with interleaved reads %v != oracle %v", opts, got, want)
+		return false
+	}
+	return streamVariants(t, forest, opts, want)
+}
+
 // TestForestMinersDifferential is the harness pinning every forest miner
 // to the naive oracle: MineForestStream ≡ MineForestParallel ≡
 // MineForest ≡ per-tree NaiveMine support counting, across random
 // forests whose MaxDist sweeps the packable boundary (MaxPackedDist =
 // 14 halves; ~a quarter of the runs take the string-keyed fallback),
 // with varying MinSup, MinOccur, IgnoreDist, duplicate labels,
-// single-node trees, and empty forests.
+// single-node trees, empty forests, and — for half the runs — trailing
+// trees whose labels outgrow the dense pending table mid-stream. A
+// fixed sweep then pins MaxDist at MaxPackedDist and one past it.
 func TestForestMinersDifferential(t *testing.T) {
-	f := func(seed int64, nt, size, alpha, maxD, minSup, minOcc, workers uint8, ignore bool) bool {
+	f := func(seed int64, nt, size, alpha, maxD, minSup, minOcc, workers uint8, ignore, grow bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		forest := randDifferentialForest(rng, int(nt)%7, int(size)%40+1, int(alpha)%6+1)
+		if grow {
+			forest = append(forest, growingTrees(rng)...)
+		}
 		opts := ForestOptions{
 			Options: Options{
 				MaxDist:  Dist(int(maxD) % 20),
@@ -103,19 +189,22 @@ func TestForestMinersDifferential(t *testing.T) {
 			MinSup:     int(minSup)%4 + 1,
 			IgnoreDist: ignore,
 		}
-		want := naiveForestOracle(forest, opts)
-		if got := MineForest(forest, opts); !reflect.DeepEqual(got, want) {
-			t.Logf("opts=%+v: MineForest %v != oracle %v", opts, got, want)
-			return false
-		}
-		if got := MineForestParallel(forest, opts, int(workers)%5); !reflect.DeepEqual(got, want) {
-			t.Logf("opts=%+v: MineForestParallel %v != oracle %v", opts, got, want)
-			return false
-		}
-		return streamVariants(t, forest, opts, want)
+		return forestMinersAgree(t, rng, forest, opts, int(workers)%5)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		for _, maxD := range []Dist{MaxPackedDist, MaxPackedDist + 1} {
+			for _, ignore := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(seed))
+				forest := append(randDifferentialForest(rng, 5, 40, 4), growingTrees(rng)...)
+				opts := ForestOptions{Options: Options{MaxDist: maxD, MinOccur: 1}, MinSup: 1, IgnoreDist: ignore}
+				if !forestMinersAgree(t, rng, forest, opts, 3) {
+					t.Fatalf("seed=%d maxdist=%s ignore=%v: forest miners disagree", seed, maxD, ignore)
+				}
+			}
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ func (m *DistMatrix) Condensed() []float64 { return m.d }
 // BuildProfiles mines every tree once and freezes each item set into a
 // Profile under the variant. When the options are packable the whole
 // forest is interned into one shared Symbols table first (a serial
-// read-only pass, as MineForestParallel does) and mining fans out over
+// pass, as a multi-worker mining round does) and mining fans out over
 // workers on packed integer keys; beyond MaxPackedDist the string-keyed
 // miner runs instead, still one tree per worker. workers ≤ 0 selects
 // GOMAXPROCS.
@@ -282,4 +282,14 @@ func TDistMatrixParallelCtx(ctx context.Context, trees []*tree.Tree, v Variant, 
 		return nil, err
 	}
 	return ProfileDistMatrixCtx(ctx, profiles, workers)
+}
+
+// wrapWorkerErr labels a worker failure with what it was doing, but
+// passes bare context cancellations through unchanged — callers match
+// those against ctx.Err() and gain nothing from a location label.
+func wrapWorkerErr(err error, doing string) error {
+	if err == context.Canceled || err == context.DeadlineExceeded {
+		return err
+	}
+	return fmt.Errorf("%s: %w", doing, err)
 }

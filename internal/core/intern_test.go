@@ -125,6 +125,13 @@ func randForest(rng *rand.Rand, trees, size, alpha int) []*tree.Tree {
 	return out
 }
 
+// mineForestGeneric is the string-keyed reference the interned forest
+// miners are property-tested against: the per-tree string miner feeding
+// one support map.
+func mineForestGeneric(trees []*tree.Tree, opts ForestOptions) []FrequentPair {
+	return forestSupport(trees, opts, Mine)
+}
+
 // TestMineForestInternedMatchesGeneric checks the interned forest miner
 // (and its parallel variant, at several worker counts) against the
 // string-keyed reference implementation across random forests, with and

@@ -173,14 +173,14 @@ func TestMineSteadyStateZeroAlloc(t *testing.T) {
 	defer m.release()
 	for _, tr := range trees {
 		m.reset(tr, opts.Options, syms)
-		mineTreeSupport(m, opts, &sup)
+		mineTreeSupport(m, opts, supportSink{acc: &sup})
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		tr := trees[i%len(trees)]
 		i++
 		m.reset(tr, opts.Options, syms)
-		mineTreeSupport(m, opts, &sup)
+		mineTreeSupport(m, opts, supportSink{acc: &sup})
 	})
 	sup.discard()
 	if allocs != 0 {

@@ -231,6 +231,25 @@ func seedAccumulatePairs(m *seedMiner, ac *seedAccum) {
 	}
 }
 
+// benchSeed times the seed unit — the replica miner and accumulator
+// above — in the per-op shape benchAccumulate uses.
+func benchSeed(b *testing.B, shape string) {
+	t := benchTree(shape)
+	syms := NewSymbols()
+	syms.InternTree(t)
+	opts := DefaultOptions()
+	var sm seedMiner
+	var sac seedAccum
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sm.reset(t, opts, syms)
+		sac.init(syms.Len(), sm.nd)
+		seedAccumulatePairs(&sm, &sac)
+		sac.discard()
+	}
+}
+
 // BenchmarkMineCore is the ablation suite of the §48 rework: seed
 // pair enumeration (against the replica of the original accumulator)
 // vs symbol-vector counting vs the word-blocked sweep, at the Fig6
@@ -238,22 +257,7 @@ func seedAccumulatePairs(m *seedMiner, ac *seedAccum) {
 // identity) and a label-dense shape (its best case).
 func BenchmarkMineCore(b *testing.B) {
 	for _, shape := range []string{"fig6", "dense", "hub"} {
-		b.Run(shape+"/seed", func(b *testing.B) {
-			t := benchTree(shape)
-			syms := NewSymbols()
-			syms.InternTree(t)
-			opts := DefaultOptions()
-			var sm seedMiner
-			var sac seedAccum
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sm.reset(t, opts, syms)
-				sac.init(syms.Len(), sm.nd)
-				seedAccumulatePairs(&sm, &sac)
-				sac.discard()
-			}
-		})
+		b.Run(shape+"/seed", func(b *testing.B) { benchSeed(b, shape) })
 		b.Run(shape+"/symvec", func(b *testing.B) {
 			benchAccumulate(b, shape, func(m *miner, ac *accum) { m.accumulateSymVec(ac) })
 		})

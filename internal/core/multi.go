@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"runtime"
+
 	"treemine/internal/tree"
 )
 
@@ -38,28 +41,52 @@ type FrequentPair struct {
 // Its running time is O(Σ|Ti|²), linear in the number of trees for
 // bounded tree size — the paper's Figures 6 and 7.
 //
-// One symbol table is interned over the whole forest in a read-only
-// pass; every per-tree pass and the support accumulation then run on
-// integer keys in reused buffers, so the cost per tree after the first
-// is pair generation plus O(distinct items) — no string hashing and
-// near-zero allocation. Labels come back as strings only in the result.
+// It is a SupportShard fed one tree at a time and then finalized: every
+// per-tree pass runs on integer keys in reused buffers and folds into
+// the shard's dense pending table, so the cost per tree is pair
+// generation plus O(distinct items) — no string hashing and near-zero
+// allocation. Labels come back as strings only in the result.
 func MineForest(trees []*tree.Tree, opts ForestOptions) []FrequentPair {
-	if !packable(opts.MaxDist) {
-		return mineForestGeneric(trees, opts)
-	}
-	syms := NewSymbols()
+	sh := NewSupportShard(opts)
 	for _, t := range trees {
-		syms.InternTree(t)
+		sh.AddTree(t)
 	}
-	var sup accum
-	sup.init(syms.Len(), supportSlots(opts))
-	m := minerPool.Get().(*miner)
-	defer m.release()
-	for _, t := range trees {
-		m.reset(t, opts.Options, syms)
-		mineTreeSupport(m, opts, &sup)
+	return sh.Finalize(opts.MinSup)
+}
+
+// MineForestParallel is MineForest with per-tree mining fanned out over
+// a worker pool: the stream round over the in-memory forest, so the
+// result is identical to MineForest's (deterministic, sorted), only
+// faster on large forests. workers ≤ 0 selects GOMAXPROCS.
+func MineForestParallel(trees []*tree.Tree, opts ForestOptions, workers int) []FrequentPair {
+	fp, err := MineForestParallelCtx(context.Background(), trees, opts, workers)
+	if err != nil {
+		// Unreachable without a cancellable context or an armed
+		// failpoint: re-raise so the no-error signature keeps its
+		// original crash semantics instead of silently dropping work.
+		panic(err)
 	}
-	return drainSupport(&sup, syms, opts)
+	return fp
+}
+
+// MineForestParallelCtx is MineForestParallel under a context: the
+// workers — a single one included — check ctx between trees and the
+// call returns ctx.Err() promptly, and a panicking worker is contained
+// into an error naming the offending tree index.
+//
+// The forest is resident already, so one stream round covers it: a
+// round's memory bound buys nothing here, while every extra round costs
+// a worker barrier and a drain of the private accumulators.
+func MineForestParallelCtx(ctx context.Context, trees []*tree.Tree, opts ForestOptions, workers int) ([]FrequentPair, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	sh, err := MineForestStreamShardCtx(ctx, NewSliceIterator(trees), opts,
+		StreamConfig{Workers: workers, BatchSize: (len(trees) + workers - 1) / workers})
+	if err != nil {
+		return nil, err
+	}
+	return sh.Finalize(opts.MinSup), nil
 }
 
 // supportSlots returns the number of distance slots support accumulation
@@ -75,16 +102,39 @@ func supportSlots(opts ForestOptions) int {
 	return int(opts.MaxDist) + 1
 }
 
+// supportSink is where forest support lands: the accumulator acc when it
+// is set — a shard's dense pending table or a worker's private one —
+// else the shard's durable count map, whose keys carry DistWild under
+// IgnoreDist where an accumulator uses distance slot 0.
+type supportSink struct {
+	acc  *accum
+	m    map[IKey]int64
+	wild bool
+}
+
+func (s supportSink) add(a, b uint32, dc int, n int32) {
+	if s.acc != nil {
+		s.acc.add(a, b, dc, n)
+		return
+	}
+	d := Dist(dc)
+	if s.wild {
+		d = DistWild
+	}
+	s.m[NewIKey(a, b, d)] += int64(n)
+}
+
 // mineTreeSupport mines the tree the miner is pointed at and folds its
 // qualifying items into sup: +1 per item the tree contains with
 // occurrence ≥ MinOccur, de-duplicated per label pair under IgnoreDist.
-func mineTreeSupport(m *miner, opts ForestOptions, sup *accum) {
+// It is the one per-tree routine of every forest miner.
+func mineTreeSupport(m *miner, opts ForestOptions, sup supportSink) {
 	if m.maxJ == 0 {
 		return
 	}
 	m.acc.init(m.syms.Len(), m.nd)
 	m.accumulate(&m.acc)
-	minOccur := opts.MinOccur
+	items, minOccur := &m.acc, opts.MinOccur
 	if opts.IgnoreDist {
 		// Collapse the tree's distances first so each label pair counts
 		// one support regardless of how many distances realize it.
@@ -95,58 +145,34 @@ func mineTreeSupport(m *miner, opts ForestOptions, sup *accum) {
 				wild.add(a, b, 0, 1)
 			}
 		})
-		wild.drain(func(a, b uint32, dc int, n int32) {
-			sup.add(a, b, 0, 1)
+		items, minOccur = wild, 1
+	}
+	if acc := sup.acc; acc != nil {
+		// The dense hot path calls acc.add directly: one call per item
+		// fewer than going through supportSink.add.
+		items.drain(func(a, b uint32, dc int, n int32) {
+			if int(n) >= minOccur {
+				acc.add(a, b, dc, 1)
+			}
 		})
 		return
 	}
-	m.acc.drain(func(a, b uint32, dc int, n int32) {
+	items.drain(func(a, b uint32, dc int, n int32) {
 		if int(n) >= minOccur {
 			sup.add(a, b, dc, 1)
 		}
 	})
 }
 
-// drainSupport converts accumulated support counts into the sorted
-// public result.
-func drainSupport(sup *accum, syms *Symbols, opts ForestOptions) []FrequentPair {
-	var out []FrequentPair
-	sup.drain(func(a, b uint32, dc int, n int32) {
-		if int(n) < opts.MinSup {
-			return
-		}
-		d := Dist(dc)
-		if opts.IgnoreDist {
-			d = DistWild
-		}
-		out = append(out, FrequentPair{Key: NewKey(syms.Label(a), syms.Label(b), d), Support: int(n)})
-	})
-	SortFrequentPairs(out)
-	return out
-}
-
-// mineForestGeneric is the string-keyed fallback (and the reference
-// implementation the interned path is property-tested against): mine
-// each tree to an ItemSet and count support in one map.
-func mineForestGeneric(trees []*tree.Tree, opts ForestOptions) []FrequentPair {
-	support := make(map[Key]int)
-	for _, t := range trees {
-		items := Mine(t, opts.Options)
-		if opts.IgnoreDist {
-			items = items.IgnoreDist()
-		}
-		for k := range items {
-			support[k]++
-		}
+// forestItems is the string-keyed per-tree step for options the packed
+// keys cannot represent: t's item set, collapsed per label pair under
+// IgnoreDist.
+func forestItems(t *tree.Tree, opts ForestOptions) ItemSet {
+	items := Mine(t, opts.Options)
+	if opts.IgnoreDist {
+		items = items.IgnoreDist()
 	}
-	var out []FrequentPair
-	for k, s := range support {
-		if s >= opts.MinSup {
-			out = append(out, FrequentPair{Key: k, Support: s})
-		}
-	}
-	SortFrequentPairs(out)
-	return out
+	return items
 }
 
 // Support returns the support of a specific label pair at distance d

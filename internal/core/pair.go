@@ -52,8 +52,8 @@ func CompareKeys(a, b Key) int {
 }
 
 // SortFrequentPairs sorts by decreasing support, ties broken by key
-// order — the output order of MineForest, MineForestParallel, and the
-// persisted index's Frequent.
+// order — the output order of MineForest, SupportShard.Finalize, and
+// the persisted index's Frequent.
 func SortFrequentPairs(pairs []FrequentPair) {
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].Support != pairs[j].Support {

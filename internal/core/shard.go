@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -20,17 +23,26 @@ import (
 // lets a long mining run checkpoint and resume.
 //
 // All methods are safe for concurrent use; AddTree from many goroutines
-// contends on one mutex, so for throughput prefer private shards merged
-// afterwards (what MineForestStream does internally).
+// contends on one mutex, so for throughput mine through
+// MineForestStreamShard with several workers, which interns a round's
+// labels into the shard's table and mines the round into per-worker
+// accumulators sharing it.
 type SupportShard struct {
 	mu    sync.Mutex
 	opts  ForestOptions
 	trees int
 
 	// Packed mode (opts.MaxDist ≤ MaxPackedDist): counts keyed by IKey
-	// over the shard-local symbol table.
-	syms *Symbols
-	sup  map[IKey]int64
+	// over the shard-local symbol table. sup is the durable store;
+	// pending, when its table is allocated, holds counts of the last
+	// pendingTrees trees not yet folded into sup (see sink and flush).
+	syms         *Symbols
+	sup          map[IKey]int64
+	pending      accum
+	pendingTrees int
+	// miner is AddTree's scratch, owned by the shard rather than drawn
+	// from the per-P pool, so one shard keeps exactly one warm miner.
+	miner *miner
 
 	// Generic mode (beyond MaxPackedDist): counts keyed by string Key.
 	gsup map[Key]int64
@@ -68,6 +80,7 @@ func (sh *SupportShard) Len() int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.sup != nil {
+		sh.flush()
 		return len(sh.sup)
 	}
 	return len(sh.gsup)
@@ -83,53 +96,61 @@ func (sh *SupportShard) AddTree(t *tree.Tree) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.trees++
-	if sh.sup != nil {
-		sh.addTreePacked(t)
+	if sh.sup == nil {
+		for k := range forestItems(t, sh.opts) {
+			sh.gsup[k]++
+		}
 		return
 	}
-	items := Mine(t, sh.opts.Options)
-	if sh.opts.IgnoreDist {
-		items = items.IgnoreDist()
+	sh.syms.InternTree(t)
+	// The miner is kept only after a clean pass: a panic mid-tree may
+	// leave its arena half-updated, and it is dropped instead.
+	m := sh.miner
+	if m == nil {
+		m = new(miner)
 	}
-	for k := range items {
-		sh.gsup[k]++
-	}
+	sh.miner = nil
+	m.reset(t, sh.opts.Options, sh.syms)
+	mineTreeSupport(m, sh.opts, sh.sink(1))
+	m.t = nil // keep no tree alive: a stream's live heap is one round
+	sh.miner = m
 }
 
-// addTreePacked is the interned hot path: intern t's labels, mine through
-// a pooled miner sharing the shard's table, and fold the per-tree items
-// into sup.
-func (sh *SupportShard) addTreePacked(t *tree.Tree) {
-	sh.syms.InternTree(t)
-	m := getMiner(t, sh.opts.Options, sh.syms)
-	defer m.release()
-	if m.maxJ == 0 {
-		return
+// sink returns where the counts of n more trees over the current
+// alphabet go. While the alphabet fits a dense table that is the pending
+// accumulator, provisioned with headroom for labels still to come; it is
+// flushed first when the alphabet has outgrown it or when n more trees
+// could overflow its int32 cells (each tree adds at most 1 per cell).
+// Past the dense limit the counts go straight into sup.
+func (sh *SupportShard) sink(n int) supportSink {
+	l, nd := sh.syms.Len(), supportSlots(sh.opts)
+	if sh.pendingTrees > 0 && (l > sh.pending.l || sh.pendingTrees > math.MaxInt32-n) {
+		sh.flush()
 	}
-	m.acc.init(sh.syms.Len(), m.nd)
-	m.accumulate(&m.acc)
-	minOccur := sh.opts.MinOccur
-	sup := sh.sup
-	if sh.opts.IgnoreDist {
-		// Collapse the tree's distances first so each label pair counts
-		// one support regardless of how many distances realize it.
-		m.wild.init(sh.syms.Len(), 1)
-		wild := &m.wild
-		m.acc.drain(func(a, b uint32, dc int, n int32) {
-			if int(n) >= minOccur {
-				wild.add(a, b, 0, 1)
-			}
-		})
-		wild.drain(func(a, b uint32, dc int, n int32) {
-			sup[NewIKey(a, b, DistWild)]++
-		})
-		return
+	if !denseFits(l, nd) {
+		return supportSink{m: sh.sup, wild: sh.opts.IgnoreDist}
 	}
-	m.acc.drain(func(a, b uint32, dc int, n int32) {
-		if int(n) >= minOccur {
-			sup[NewIKey(a, b, Dist(dc))]++
+	if sh.pendingTrees == 0 {
+		// Round up to whole bitmap words so a growing stream
+		// re-provisions once per 64 new labels, not per label.
+		if c := max(64, (l+63)&^63); denseFits(c, nd) {
+			l = c
 		}
-	})
+		sh.pending.init(l, nd)
+	}
+	sh.pendingTrees += n
+	return supportSink{acc: &sh.pending}
+}
+
+// flush drains the pending accumulator into sup and drops its table,
+// so a shard at rest — read, snapshotted, spilled, or checkpointed —
+// holds its counts in sup alone, with no pending table besides.
+func (sh *SupportShard) flush() {
+	if sh.pendingTrees == 0 {
+		return
+	}
+	sh.pending.drain(supportSink{m: sh.sup, wild: sh.opts.IgnoreDist}.add)
+	sh.pending, sh.pendingTrees = accum{}, 0
 }
 
 // Merge folds other's counts and tree tally into sh. The two shards'
@@ -197,6 +218,7 @@ func (sh *SupportShard) snapshotLocal() (trees int, labels []string, items []Sha
 	defer sh.mu.Unlock()
 	trees = sh.trees
 	if sh.sup != nil {
+		sh.flush()
 		labels = make([]string, sh.syms.Len())
 		for id := range labels {
 			labels[id] = sh.syms.Label(uint32(id))
@@ -236,12 +258,13 @@ func (sh *SupportShard) DrainSorted() ([]ShardItem, error) {
 	if sh.sup == nil {
 		return nil, fmt.Errorf("core: drain: shard mined past MaxPackedDist has no stable symbol table")
 	}
+	sh.flush()
 	items := make([]ShardItem, 0, len(sh.sup))
 	for k, n := range sh.sup {
 		a, b := k.Syms()
 		items = append(items, ShardItem{A: a, B: b, D: k.Dist(), N: n})
 	}
-	sortShardItems(items)
+	slices.SortFunc(items, compareShardItems)
 	clear(sh.sup)
 	return items, nil
 }
@@ -266,25 +289,25 @@ func (sh *SupportShard) LocalLabels() []string {
 // pairs with support ≥ minsup, sorted by decreasing support then key —
 // exactly MineForest's output shape. The shard is left intact, so a
 // streaming pipeline can checkpoint intermediate results and keep
-// mining. minsup ≤ 1 reports every accumulated pair.
+// mining. minsup ≤ 1 reports every accumulated pair. It sorts the
+// canonical export on integers — rank order of the sorted label table
+// is key order — and builds the string keys only for the result.
 func (sh *SupportShard) Finalize(minsup int) []FrequentPair {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var out []FrequentPair
-	if sh.sup != nil {
-		for k, n := range sh.sup {
-			if int(n) >= minsup {
-				out = append(out, FrequentPair{Key: k.Key(sh.syms), Support: int(n)})
-			}
-		}
-	} else {
-		for k, n := range sh.gsup {
-			if int(n) >= minsup {
-				out = append(out, FrequentPair{Key: k, Support: int(n)})
-			}
-		}
+	_, labels, items := sh.canonical()
+	items = slices.DeleteFunc(items, func(it ShardItem) bool { return it.N < int64(minsup) })
+	if len(items) == 0 {
+		return nil
 	}
-	SortFrequentPairs(out)
+	slices.SortFunc(items, func(x, y ShardItem) int {
+		if c := cmp.Compare(y.N, x.N); c != 0 {
+			return c
+		}
+		return compareShardItems(x, y)
+	})
+	out := make([]FrequentPair, len(items))
+	for i, it := range items {
+		out[i] = FrequentPair{Key: Key{A: labels[it.A], B: labels[it.B], D: it.D}, Support: int(it.N)}
+	}
 	return out
 }
 
@@ -308,9 +331,15 @@ type ShardItem struct {
 // merged from any partitioning serializes to the same v3 bytes as a
 // single-process run.
 func (sh *SupportShard) Snapshot() (opts ForestOptions, trees int, labels []string, items []ShardItem) {
-	var local []string
-	opts = sh.opts
-	trees, local, items = sh.snapshotLocal()
+	trees, labels, items = sh.canonical()
+	slices.SortFunc(items, compareShardItems)
+	return sh.opts, trees, labels, items
+}
+
+// canonical exports the shard against its lexicographically sorted
+// label table: every item re-coded with A ≤ B, in no particular order.
+func (sh *SupportShard) canonical() (trees int, labels []string, items []ShardItem) {
+	trees, local, items := sh.snapshotLocal()
 	labels, trans := canonicalLabels(local)
 	for i := range items {
 		a, b := trans[items[i].A], trans[items[i].B]
@@ -319,8 +348,7 @@ func (sh *SupportShard) Snapshot() (opts ForestOptions, trees int, labels []stri
 		}
 		items[i].A, items[i].B = a, b
 	}
-	sortShardItems(items)
-	return opts, trees, labels, items
+	return trees, labels, items
 }
 
 // canonicalLabels sorts a label table lexicographically and returns the
@@ -339,17 +367,15 @@ func canonicalLabels(local []string) (sorted []string, trans []uint32) {
 	return sorted, trans
 }
 
-func sortShardItems(items []ShardItem) {
-	sort.Slice(items, func(i, j int) bool {
-		x, y := items[i], items[j]
-		if x.A != y.A {
-			return x.A < y.A
-		}
-		if x.B != y.B {
-			return x.B < y.B
-		}
-		return x.D < y.D
-	})
+// compareShardItems orders items by (A, B, D).
+func compareShardItems(x, y ShardItem) int {
+	if c := cmp.Compare(x.A, y.A); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.B, y.B); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.D, y.D)
 }
 
 // RestoreShard rebuilds a shard from a Snapshot-shaped export, validating

@@ -79,9 +79,8 @@ type StreamConfig struct {
 const defaultStreamBatch = 64
 
 // MineForestStream is Multiple_Tree_Mining over a tree stream: trees are
-// consumed from it in bounded batches, mined concurrently by workers
-// holding private SupportShards, and the shards are merged into one
-// result. The output is exactly MineForest's — same pairs, same counts,
+// consumed from it in bounded rounds, each mined concurrently by workers
+// into one SupportShard, which is finalized into the result. The output is exactly MineForest's — same pairs, same counts,
 // same order — but peak memory is bounded by workers × batch trees plus
 // the support table, rather than by the corpus, so it scales to forests
 // that never fit in memory. workers ≤ 0 selects GOMAXPROCS.
@@ -111,12 +110,13 @@ func MineForestStreamShard(it TreeIterator, opts ForestOptions, cfg StreamConfig
 // MineForestStreamShardCtx is MineForestStreamShard under a context.
 // Cancellation is cooperative and round-atomic: the iterator fill loop
 // checks ctx per tree and the mining workers per mined tree, but a
-// cancelled round's partial worker shards are discarded rather than
-// merged — so the returned shard always covers an exact prefix of the
-// stream, its Trees() count names that prefix, and a checkpoint of it
-// resumes (SkipTrees = Trees()) to results identical to an uninterrupted
-// run. The call returns ctx.Err() within one round (≤ workers × batch
-// trees) of cancellation.
+// cancelled multi-worker round's partial accumulators and interned
+// labels are discarded rather than kept — so the returned shard always
+// covers an exact prefix of the stream, its Trees() count names that
+// prefix, its bytes equal those of a run over just that prefix, and a
+// checkpoint of it resumes (SkipTrees = Trees()) to results identical
+// to an uninterrupted run. The call returns ctx.Err() within one round
+// (≤ workers × batch trees) of cancellation.
 //
 // A worker panic is contained at the pool boundary: it surfaces as an
 // error wrapping guard.ErrPanic naming the offending stream tree index,
@@ -157,6 +157,7 @@ func MineForestStreamShardCtx(ctx context.Context, it TreeIterator, opts ForestO
 	}
 
 	buf := make([]*tree.Tree, 0, workers*batch)
+	privs := make([]accum, workers)
 	sinceCheckpoint := 0
 	for {
 		buf = buf[:0]
@@ -184,7 +185,7 @@ func MineForestStreamShardCtx(ctx context.Context, it TreeIterator, opts ForestO
 		}
 
 		if len(buf) > 0 {
-			if err := mineRound(ctx, master, buf, streamed-len(buf), opts, workers); err != nil {
+			if err := mineRound(ctx, master, buf, streamed-len(buf), workers, privs); err != nil {
 				return master, err
 			}
 			sinceCheckpoint += len(buf)
@@ -217,36 +218,32 @@ func MineForestStreamShardCtx(ctx context.Context, it TreeIterator, opts ForestO
 	}
 }
 
-// mineTreeGuarded folds one tree into sh with the panic containment and
-// fault injection every mining pool shares; base+i is the tree's
-// absolute index for the error label.
-func mineTreeGuarded(sh *SupportShard, t *tree.Tree, base, i int) error {
+// mineTreeGuarded runs mine on one tree with the panic containment and
+// fault injection every mining pool shares; i is the tree's absolute
+// stream index for the error label.
+func mineTreeGuarded(mine func(*tree.Tree), t *tree.Tree, i int) error {
 	err := guard.Run(func() error {
 		if err := faults.Hit(faults.MineWorker); err != nil {
 			return err
 		}
-		sh.AddTree(t)
+		mine(t)
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("core: stream: mining tree %d: %w", base+i, err)
+		return fmt.Errorf("core: stream: mining tree %d: %w", i, err)
 	}
 	return nil
 }
 
-// mineRound mines one batch of trees into master: workers fold strided
-// slices into private shards, which merge into master in worker order.
-// Support counts are additive, so the result is independent of worker
-// scheduling — streamed output is deterministic. base is the absolute
-// stream index of buf[0].
-//
-// On cancellation or a contained worker panic the round's partial
-// private shards are discarded and master is left untouched, preserving
-// the exact-prefix invariant MineForestStreamShardCtx documents. The
-// serial path mines straight into master, which is safe for the same
-// invariant: it folds trees in buf order, so an early return still
-// leaves master covering a prefix.
-func mineRound(ctx context.Context, master *SupportShard, buf []*tree.Tree, base int, opts ForestOptions, workers int) error {
+// mineRound mines one batch of trees into master; base is the absolute
+// stream index of buf[0]. A single worker folds the trees into master
+// one by one, in buf order, so an early return still leaves master
+// covering a prefix. Several workers take the multi-worker round of
+// SupportShard.addRound, which is all-or-nothing. Either way the
+// exact-prefix invariant MineForestStreamShardCtx documents holds, and
+// since support counts are additive the result is independent of worker
+// scheduling.
+func mineRound(ctx context.Context, master *SupportShard, buf []*tree.Tree, base, workers int, privs []accum) error {
 	if workers > len(buf) {
 		workers = len(buf)
 	}
@@ -255,42 +252,108 @@ func mineRound(ctx context.Context, master *SupportShard, buf []*tree.Tree, base
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := mineTreeGuarded(master, t, base, i); err != nil {
+			if err := mineTreeGuarded(master.AddTree, t, base+i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	privates := make([]*SupportShard, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sh := NewSupportShard(opts)
-			for i := w; i < len(buf); i += workers {
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				if err := mineTreeGuarded(sh, buf[i], base, i); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-			privates[w] = sh
-		}(w)
-	}
-	wg.Wait()
-	if err := guard.First(errs); err != nil {
-		return err
-	}
-	for _, sh := range privates {
-		if err := master.Merge(sh); err != nil {
+	return master.addRound(ctx, buf, base, privs[:workers])
+}
+
+// mineStride mines buf[w], buf[w+workers], … through mine, checking ctx
+// between trees; it stops at the first error.
+func mineStride(ctx context.Context, buf []*tree.Tree, base, w, workers int, mine func(*tree.Tree)) error {
+	for i := w; i < len(buf); i += workers {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := mineTreeGuarded(mine, buf[i], base+i); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// addRound mines buf into sh over len(privs) workers. The round's labels
+// are interned into sh's table first; the workers then share that table
+// read-only, each mining its strided slice of buf into its private
+// accumulator, and on success the privates drain into sh. On
+// cancellation or a contained panic the privates are discarded and the
+// labels interned for the round are truncated away, leaving sh exactly
+// as it was — so a checkpoint still covers an exact prefix of the
+// stream, byte for byte. Past MaxPackedDist the privates are string-keyed
+// maps instead. sh stays locked for the whole round.
+func (sh *SupportShard) addRound(ctx context.Context, buf []*tree.Tree, base int, privs []accum) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	workers := len(privs)
+	if sh.sup == nil {
+		gprivs := make([]map[Key]int64, workers)
+		err := forEachWorker(workers, func(w int) error {
+			gprivs[w] = make(map[Key]int64)
+			return mineStride(ctx, buf, base, w, workers, func(t *tree.Tree) {
+				for k := range forestItems(t, sh.opts) {
+					gprivs[w][k]++
+				}
+			})
+		})
+		if err != nil {
+			return err
+		}
+		for _, g := range gprivs {
+			for k, n := range g {
+				sh.gsup[k] += n
+			}
+		}
+		sh.trees += len(buf)
+		return nil
+	}
+
+	before := sh.syms.Len()
+	for _, t := range buf {
+		sh.syms.InternTree(t)
+	}
+	l, nd := sh.syms.Len(), supportSlots(sh.opts)
+	err := forEachWorker(workers, func(w int) error {
+		privs[w].init(l, nd)
+		sup := supportSink{acc: &privs[w]}
+		m := minerPool.Get().(*miner)
+		err := mineStride(ctx, buf, base, w, workers, func(t *tree.Tree) {
+			m.reset(t, sh.opts.Options, sh.syms)
+			mineTreeSupport(m, sh.opts, sup)
+		})
+		// A miner that failed mid-tree may hold a half-updated arena;
+		// drop it instead of poisoning the pool.
+		if err == nil {
+			m.release()
+		}
+		return err
+	})
+	if err != nil {
+		sh.syms.truncate(before)
+		return err
+	}
+	sup := sh.sink(len(buf))
+	for w := range privs {
+		privs[w].drain(sup.add)
+	}
+	sh.trees += len(buf)
+	return nil
+}
+
+// forEachWorker runs work(0) … work(workers-1) concurrently, waits for
+// all of them, and returns the first failure (guard.First).
+func forEachWorker(workers int, work func(w int) error) error {
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = work(w)
+		}(w)
+	}
+	wg.Wait()
+	return guard.First(errs)
+}

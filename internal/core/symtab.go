@@ -13,8 +13,8 @@ import (
 // Concurrency: Intern and InternTree mutate the table and must not run
 // concurrently with anything else. Lookup, Label, and Len only read and
 // are safe from any number of goroutines once interning is done — this is
-// what lets MineForestParallel build one table in a read-only pass and
-// share it lock-free across workers.
+// what lets a multi-worker mining round intern its trees' labels first
+// and then share the table lock-free across workers.
 type Symbols struct {
 	ids    map[string]uint32
 	labels []string
@@ -63,6 +63,17 @@ func (s *Symbols) Len() int { return len(s.labels) }
 func (s *Symbols) reset() {
 	clear(s.ids)
 	s.labels = s.labels[:0]
+}
+
+// truncate forgets every label interned after the first n, restoring
+// the table to an earlier Len: a failed mining round withdraws the
+// labels it interned this way, so none of them outlives the round.
+func (s *Symbols) truncate(n int) {
+	for _, l := range s.labels[n:] {
+		delete(s.ids, l)
+	}
+	clear(s.labels[n:])
+	s.labels = s.labels[:n]
 }
 
 // IKey is a cousin pair item key packed into one machine word:

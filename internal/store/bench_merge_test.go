@@ -4,8 +4,10 @@ package store
 // the k-way inner loop every spilled shard and segment merge streams
 // through, and FoldTranslated is the cross-table fold every
 // coordinator merge rides. BENCH_7.json records the distributed-mining
-// experiment and these two ns/op numbers; the gate re-measures the
-// same shapes and fails past a 20% slowdown. Run via `make bench-merge`.
+// experiment and these ns/op numbers. The tier-1 gate is a same-process
+// ratio (wide vs narrow merge per record); the opt-in absolute gate
+// re-measures the recorded shapes and fails past a 20% slowdown. Run
+// both via `make bench-merge`.
 
 import (
 	"io"
@@ -115,16 +117,38 @@ func mergeMeasureBest(n int, f func(b *testing.B)) float64 {
 	return best
 }
 
-// TestBenchMergeRegressionGate re-measures the merge path at the
-// recorded BenchmarkMergePath shapes and fails if ns/op regressed more
-// than 20% against BENCH_7.json. Skipped under -short; run explicitly
-// via `make bench-merge`.
+// TestBenchMergeRegressionGate pins what the head heap exists for, as a
+// same-process ratio: the per-record cost of a 256-way merge against
+// that of an 8-way merge. A heap pays O(log fan-in) per record, so the
+// ratio stays near log 256 / log 8 (BENCH_7.json: 34 vs 10.9 ns/record,
+// 3.1); a linear min-scan pays O(fan-in), about 32× worse at 256 runs,
+// and fails the bound of 6 by far. Skipped under -short.
 func TestBenchMergeRegressionGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark regression gate skipped in -short mode")
 	}
-	if _, err := os.Stat(bench7Path); err != nil {
-		t.Skipf("no recorded %s: %v", bench7Path, err)
+	const narrowRecs, wideRecs, bound = 8 << 16, 256 << 12, 6.0
+	narrow, wide := math.MaxFloat64, math.MaxFloat64
+	// Interleave the two so both run under the same machine load.
+	for i := 0; i < 3; i++ {
+		narrow = math.Min(narrow, mergeMeasureBest(1, func(b *testing.B) { benchMergeRuns(b, 8, 1<<16) })/narrowRecs)
+		wide = math.Min(wide, mergeMeasureBest(1, func(b *testing.B) { benchMergeRuns(b, 256, 1<<12) })/wideRecs)
+	}
+	ratio := wide / narrow
+	t.Logf("mergeRuns: %.1f ns/record 8-way, %.1f ns/record 256-way, ratio %.2f (bound %.0f)", narrow, wide, ratio, bound)
+	if ratio > bound {
+		t.Errorf("256-way merge costs %.2f× the 8-way per record, want ≤ %.0f: is the head heap gone?", ratio, bound)
+	}
+}
+
+// TestBenchMergeAbsoluteGate re-measures the merge path at the recorded
+// BenchmarkMergePath shapes and fails if ns/op regressed more than 20%
+// against BENCH_7.json. Absolute numbers only mean something on the
+// recording box, so the gate is opt-in: it runs only with
+// TREEMINE_BENCH_GATE=1 (`make bench-gate`).
+func TestBenchMergeAbsoluteGate(t *testing.T) {
+	if os.Getenv("TREEMINE_BENCH_GATE") != "1" {
+		t.Skip("absolute-ns gate runs only with TREEMINE_BENCH_GATE=1 (make bench-gate)")
 	}
 	recs, err := benchutil.LoadBenchRecords(bench7Path)
 	if err != nil {

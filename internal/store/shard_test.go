@@ -2,13 +2,17 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"treemine/internal/core"
+	"treemine/internal/faults"
 	"treemine/internal/tree"
 	"treemine/internal/treegen"
 )
@@ -152,4 +156,85 @@ func TestLoadShardRejectsBadInput(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 	})
+}
+
+// flipCtx is a context whose Err turns to Canceled from its n-th call
+// on: cancellation landing at a chosen point of a stream,
+// deterministically and without timing.
+type flipCtx struct {
+	context.Context
+	n     int32
+	calls atomic.Int32
+}
+
+func (c *flipCtx) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestStreamAbortedRoundCheckpointBytes: a multi-worker stream aborted
+// mid-round — by cancellation or by a contained worker panic — returns
+// a shard whose v3 bytes equal those of a run over exactly its Trees()
+// prefix. Every tree brings labels of its own, so any label interned
+// for the discarded round and left in the shard's table would show in
+// the bytes; comparing Finalize output alone would hide it.
+func TestStreamAbortedRoundCheckpointBytes(t *testing.T) {
+	const workers, batch = 2, 8
+	const round = workers * batch
+	rng := rand.New(rand.NewSource(5))
+	forest := make([]*tree.Tree, 4*round)
+	for i := range forest {
+		labels := make([]string, 6)
+		for j := range labels {
+			labels[j] = fmt.Sprintf("t%d-%d", i, j)
+		}
+		forest[i] = treegen.Uniform(rng, 20, labels)
+	}
+	opts := core.DefaultForestOptions()
+	cfg := core.StreamConfig{Workers: workers, BatchSize: batch}
+
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		arm  func()
+	}{
+		// The stream checks ctx once per tree while filling a round and
+		// once per tree while mining it: calls 3·round+1 … 4·round fall
+		// in the second round's mining.
+		{"cancel", &flipCtx{Context: context.Background(), n: 3*round + 3}, func() {}},
+		{"panic", context.Background(), func() {
+			faults.Enable(faults.MineWorker, faults.Spec{Mode: faults.ModePanic, After: round + 3, Count: 1})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faults.Reset()
+			t.Cleanup(faults.Reset)
+			tc.arm()
+			sh, err := core.MineForestStreamShardCtx(tc.ctx, core.NewSliceIterator(forest), opts, cfg)
+			if err == nil {
+				t.Fatal("aborted stream reported success")
+			}
+			if sh.Trees() != round {
+				t.Fatalf("aborted stream covers %d trees, want the first round's %d", sh.Trees(), round)
+			}
+			faults.Reset()
+			ref, err := core.MineForestStreamShard(core.NewSliceIterator(forest[:sh.Trees()]), opts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, want bytes.Buffer
+			if err := SaveShard(&got, sh); err != nil {
+				t.Fatal(err)
+			}
+			if err := SaveShard(&want, ref); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("aborted shard's bytes differ from the %d-tree prefix run's (labels %d vs %d)",
+					sh.Trees(), len(sh.LocalLabels()), len(ref.LocalLabels()))
+			}
+		})
+	}
 }
