@@ -35,12 +35,15 @@
 # fault-tolerance drills under -race (supervised retries, worker
 # SIGKILLs, stall timeouts, straggler speculation, -allow-partial
 # degradation, coordinator kill-and-resume — every drill must converge
-# byte-identically; see DESIGN.md §52).
+# byte-identically; see DESIGN.md §52); `make bench-parse` runs the
+# Newick parse and chunk-scan benchmarks (fig6-shaped and quoted-label
+# corpora) with allocation counts, plus the parse allocation gate (see
+# DESIGN.md §53).
 
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check vet build test race chaos chaos-dist fuzz smoke smoke-dist bench bench-dist bench-parsimony bench-mine bench-serve bench-merge bench-gate bench-distmine
+.PHONY: check vet build test race chaos chaos-dist fuzz smoke smoke-dist bench bench-dist bench-parsimony bench-mine bench-serve bench-merge bench-gate bench-distmine bench-parse
 
 check: vet build test
 
@@ -114,3 +117,7 @@ bench-gate:
 
 bench-distmine:
 	$(GO) run ./cmd/benchpaper -exp distmine -maxtrees 100000
+
+bench-parse:
+	$(GO) test ./internal/newick -run xxx -bench 'Parse|Scanner' -benchmem
+	$(GO) test ./internal/newick -run 'ParseAllocs' -v

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"treemine/internal/tree"
 )
@@ -26,11 +27,14 @@ func NewSymbols() *Symbols {
 }
 
 // Intern returns the ID for label, assigning the next dense ID on first
-// sight.
+// sight. The table stores its own copy of a new label: a label is often
+// a substring of a whole parsed Newick chunk, which it would otherwise
+// keep alive for the life of the table.
 func (s *Symbols) Intern(label string) uint32 {
 	if id, ok := s.ids[label]; ok {
 		return id
 	}
+	label = strings.Clone(label)
 	id := uint32(len(s.labels))
 	s.ids[label] = id
 	s.labels = append(s.labels, label)

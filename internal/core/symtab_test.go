@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSymbolsInternLookup(t *testing.T) {
@@ -40,6 +41,25 @@ func TestSymbolsInternLookup(t *testing.T) {
 	}
 	if got := s.Intern("beta"); got != 0 {
 		t.Fatalf("first ID after reset = %d, want 0", got)
+	}
+}
+
+// TestSymbolsInternCopiesLabel: the table keeps its own copy of a new
+// label, so a label sliced from a parsed chunk does not pin the chunk.
+func TestSymbolsInternCopiesLabel(t *testing.T) {
+	chunk := "(alpha,beta);"
+	label := chunk[1:6]
+	s := NewSymbols()
+	id := s.Intern(label)
+	stored := s.Label(id)
+	if stored != "alpha" {
+		t.Fatalf("Label = %q, want alpha", stored)
+	}
+	if unsafe.StringData(stored) == unsafe.StringData(label) {
+		t.Fatal("interned label aliases the caller's buffer")
+	}
+	if got := s.Intern(chunk[1:6]); got != id {
+		t.Fatalf("re-intern = %d, want %d", got, id)
 	}
 }
 

@@ -9,9 +9,11 @@ import (
 	"treemine/internal/tree"
 )
 
-// FuzzParse checks two safety properties on arbitrary input: the parser
-// never panics, and anything it accepts survives a Write/Parse round
-// trip isomorphically. The seed corpus runs as part of `go test`; use
+// FuzzParse checks on arbitrary input that the parser never panics, that
+// Parse and ParseWithLengths agree with the staged oracle parser (same
+// acceptance, error offset and message, trees and lengths), and that
+// anything accepted survives a Write/Parse round trip isomorphically.
+// The seed corpus runs as part of `go test`; use
 // `go test -fuzz=FuzzParse` for open-ended exploration.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
@@ -28,11 +30,16 @@ func FuzzParse(f *testing.F) {
 		";",
 		"()();",
 		"(\x00,\xff);",
+		"('''','a''''b',(c)'x''y''':1)'root''s';",
+		"(A:NaN,B:Inf,(C:-1e3)D:0x1p-2)E:7;",
+		"(a,b)[;];[trailing]",
+		"('a b':1,(c,'d''e')f:2)[x]g",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
+		checkOracle(t, input)
 		parsed, err := Parse(input)
 		if err != nil {
 			return // rejected input is fine; panics are not
@@ -55,8 +62,9 @@ func FuzzParse(f *testing.F) {
 
 // FuzzScanner feeds arbitrary byte streams through the syntax-aware
 // chunker: it must terminate, never panic, fail only with ParseErrors
-// (or clean io.EOF), and every tree it does yield must survive the
-// Write round trip. Multi-tree streams with ';' hidden in quotes and
+// (or clean io.EOF), agree with a byte-at-a-time reference chunker on
+// every chunk offset (and with the oracle parser on every chunk), and
+// every tree it does yield must survive the Write round trip. Multi-tree streams with ';' hidden in quotes and
 // comments are the seeds — exactly the cases a naive byte split chunks
 // wrong.
 func FuzzScanner(f *testing.F) {
@@ -68,11 +76,14 @@ func FuzzScanner(f *testing.F) {
 		"[unclosed comment (a,b);",
 		"(a,b);((c,d);",
 		";;;",
+		"(a,b);\n[end of file]\n",
+		"(a,b);[open [nested] comment",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
+		checkScanner(t, input)
 		sc := NewScanner(strings.NewReader(input))
 		for {
 			tr, err := sc.Next()

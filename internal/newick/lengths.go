@@ -14,154 +14,16 @@ import (
 // result to internal/weighted for weighted cousin mining over real
 // phylogeny branch lengths.
 func ParseWithLengths(s string, defaultLen float64) (*tree.Tree, []float64, error) {
-	p := &lengthParser{parser: parser{s: s, b: tree.NewBuilder()}, def: defaultLen}
-	if err := p.parseTree(); err != nil {
+	p := newParser(s, true)
+	p.def = defaultLen
+	if err := p.parse(); err != nil {
 		return nil, nil, err
-	}
-	p.skipSpace()
-	if p.pos != len(p.s) {
-		return nil, nil, p.errorf("trailing input after ';'")
 	}
 	t, err := p.b.Build()
 	if err != nil {
 		return nil, nil, err
 	}
 	return t, p.lengths, nil
-}
-
-// lengthParser wraps the standard parser, re-running the grammar while
-// capturing the per-node lengths. The grammar is small enough that a
-// second specialized implementation stays clearer than threading an
-// optional collector through the fast path.
-type lengthParser struct {
-	parser
-	def     float64
-	lengths []float64
-}
-
-func (p *lengthParser) parseTree() error {
-	p.skipSpace()
-	if err := p.parseSubtree(tree.None); err != nil {
-		return err
-	}
-	p.skipSpace()
-	if p.peek() != ';' {
-		return p.errorf("expected ';', got %q", string(p.peek()))
-	}
-	p.pos++
-	return nil
-}
-
-type stagedL struct {
-	label    string
-	labeled  bool
-	length   float64
-	children []*stagedL
-}
-
-func (p *lengthParser) parseSubtree(parent tree.NodeID) error {
-	p.skipSpace()
-	var st *stagedL
-	var err error
-	if p.peek() == '(' {
-		p.pos++
-		st, err = p.parseGroup()
-	} else {
-		st, err = p.parseLeaf()
-	}
-	if err != nil {
-		return err
-	}
-	p.emit(st, parent)
-	return nil
-}
-
-func (p *lengthParser) parseGroup() (*stagedL, error) {
-	node := &stagedL{length: p.def}
-	for {
-		var child *stagedL
-		var err error
-		p.skipSpace()
-		if p.peek() == '(' {
-			p.pos++
-			child, err = p.parseGroup()
-		} else {
-			child, err = p.parseLeaf()
-		}
-		if err != nil {
-			return nil, err
-		}
-		node.children = append(node.children, child)
-		p.skipSpace()
-		switch p.peek() {
-		case ',':
-			p.pos++
-		case ')':
-			p.pos++
-			label, labeled, err := p.parseLabel()
-			if err != nil {
-				return nil, err
-			}
-			length, err := p.parseLengthValue()
-			if err != nil {
-				return nil, err
-			}
-			node.label, node.labeled, node.length = label, labeled, length
-			return node, nil
-		case 0:
-			return nil, p.errorf("unexpected end of input inside '('")
-		default:
-			return nil, p.errorf("expected ',' or ')', got %q", string(p.peek()))
-		}
-	}
-}
-
-func (p *lengthParser) parseLeaf() (*stagedL, error) {
-	label, labeled, err := p.parseLabel()
-	if err != nil {
-		return nil, err
-	}
-	length, err := p.parseLengthValue()
-	if err != nil {
-		return nil, err
-	}
-	return &stagedL{label: label, labeled: labeled, length: length}, nil
-}
-
-// parseLengthValue reads an optional ":<number>", returning the default
-// when absent.
-func (p *lengthParser) parseLengthValue() (float64, error) {
-	p.skipSpace()
-	if p.peek() != ':' {
-		return p.def, nil
-	}
-	p.pos++
-	p.skipSpace()
-	start := p.pos
-	for p.pos < len(p.s) && !isDelim(p.s[p.pos]) {
-		p.pos++
-	}
-	v, err := strconv.ParseFloat(p.s[start:p.pos], 64)
-	if err != nil {
-		p.pos = start
-		return 0, p.errorf("invalid branch length %q", p.s[start:p.pos])
-	}
-	return v, nil
-}
-
-func (p *lengthParser) emit(st *stagedL, parent tree.NodeID) {
-	id := p.addNode(parent, st.label, st.labeled)
-	for int(id) >= len(p.lengths) {
-		p.lengths = append(p.lengths, 0)
-	}
-	if parent == tree.None {
-		p.lengths[id] = 0
-	} else {
-		p.lengths[id] = st.length
-	}
-	for _, c := range st.children {
-		p.emit(c, id)
-	}
 }
 
 // WriteWithLengths serializes t with the given per-node branch lengths

@@ -10,10 +10,10 @@
 //	label   ::= unquoted | "'" quoted "'"
 //
 // Comments in square brackets and all whitespace between tokens are
-// skipped. Quoted labels may contain any character, with '' standing for
-// a single quote. Branch lengths are validated as numbers and then
-// discarded: the cousin-pair algorithms of the paper operate on tree
-// topology and labels only.
+// skipped. Quoted labels may contain any character, with a doubled quote
+// standing for a single one. Parse validates branch lengths as numbers
+// and then discards them, since the cousin-pair algorithms of the paper
+// operate on tree topology and labels only; ParseWithLengths keeps them.
 package newick
 
 import (
@@ -46,18 +46,29 @@ type parser struct {
 	s   string
 	pos int
 	b   *tree.Builder
+	// lengths, when non-nil, collects each node's branch length by
+	// NodeID (ParseWithLengths); def fills edges without ":length".
+	lengths []float64
+	def     float64
+}
+
+func newParser(s string, keepLengths bool) parser {
+	// Every node but the root follows a '(' or a ',', so this bounds the
+	// node count (quoted and commented bytes only overestimate it).
+	n := strings.Count(s, ",") + strings.Count(s, "(") + 1
+	p := parser{s: s, b: tree.NewBuilder(n)}
+	if keepLengths {
+		p.lengths = make([]float64, 0, n)
+	}
+	return p
 }
 
 // Parse parses a single Newick tree from s. Input after the terminating
 // semicolon (other than whitespace and comments) is an error.
 func Parse(s string) (*tree.Tree, error) {
-	p := &parser{s: s, b: tree.NewBuilder()}
-	if err := p.parseTree(); err != nil {
+	p := newParser(s, false)
+	if err := p.parse(); err != nil {
 		return nil, err
-	}
-	p.skipSpace()
-	if p.pos != len(p.s) {
-		return nil, p.errorf("trailing input after ';'")
 	}
 	return p.b.Build()
 }
@@ -80,17 +91,6 @@ func ParseAll(r io.Reader) ([]*tree.Tree, error) {
 		}
 		trees = append(trees, t)
 	}
-}
-
-func isBlank(s string) bool {
-	for _, c := range s {
-		switch c {
-		case ' ', '\t', '\n', '\r':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 func (p *parser) errorf(format string, args ...any) error {
@@ -133,155 +133,149 @@ func (p *parser) peek() byte {
 	return p.s[p.pos]
 }
 
+// parse reads one "subtree ;" and checks that nothing but whitespace and
+// comments follows it.
+func (p *parser) parse() error {
+	if err := p.parseTree(); err != nil {
+		return err
+	}
+	p.skipSpace()
+	if p.pos != len(p.s) {
+		return p.errorf("trailing input after ';'")
+	}
+	return nil
+}
+
+// parseTree reads "subtree ;" in one left-to-right pass, adding nodes to
+// the builder as they are met: an internal node at its '(', a leaf at its
+// label. That is preorder, so node IDs, sibling order and depths come out
+// as a recursive descent would give them. open holds the internal nodes
+// whose ')' is still to come; an internal node's label and length follow
+// its ')' and are filled in then.
 func (p *parser) parseTree() error {
-	p.skipSpace()
-	if err := p.parseSubtree(tree.None); err != nil {
-		return err
-	}
-	p.skipSpace()
-	if p.peek() != ';' {
-		return p.errorf("expected ';', got %q", string(p.peek()))
-	}
-	p.pos++
-	return nil
-}
-
-func (p *parser) parseSubtree(parent tree.NodeID) error {
-	p.skipSpace()
-	if p.peek() == '(' {
-		p.pos++
-		// Internal node: create it first so children can attach, then
-		// read its optional label afterwards. Since labels are stored on
-		// nodes at creation, parse children into a temporary list? The
-		// Builder assigns labels at creation, so instead we parse the
-		// whole group into a staging structure.
-		return p.parseInternal(parent)
-	}
-	label, labeled, err := p.parseLabel()
-	if err != nil {
-		return err
-	}
-	if err := p.parseLength(); err != nil {
-		return err
-	}
-	p.addNode(parent, label, labeled)
-	return nil
-}
-
-// staged is a parse-time node; the tree is rebuilt from staged nodes once
-// each internal node's trailing label has been read.
-type staged struct {
-	label    string
-	labeled  bool
-	children []*staged
-}
-
-func (p *parser) parseInternal(parent tree.NodeID) error {
-	st, err := p.parseStagedGroup()
-	if err != nil {
-		return err
-	}
-	p.emit(st, parent)
-	return nil
-}
-
-// parseStagedGroup parses "(...)label:len" with p.pos just past '('.
-func (p *parser) parseStagedGroup() (*staged, error) {
-	node := &staged{}
+	open := make([]tree.NodeID, 0, 32) // stays on the stack unless the tree is deeper
 	for {
-		child, err := p.parseStagedSubtree()
-		if err != nil {
-			return nil, err
-		}
-		node.children = append(node.children, child)
+		// A subtree starts here, under the innermost open node.
 		p.skipSpace()
-		switch p.peek() {
-		case ',':
-			p.pos++
-		case ')':
-			p.pos++
-			label, labeled, err := p.parseLabel()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.parseLength(); err != nil {
-				return nil, err
-			}
-			node.label, node.labeled = label, labeled
-			return node, nil
-		case 0:
-			return nil, p.errorf("unexpected end of input inside '('")
-		default:
-			return nil, p.errorf("expected ',' or ')', got %q", string(p.peek()))
+		parent := tree.None
+		if len(open) > 0 {
+			parent = open[len(open)-1]
 		}
-	}
-}
+		if p.peek() == '(' {
+			p.pos++
+			open = append(open, p.addNode(parent, "", false))
+			continue
+		}
+		label, labeled, length, err := p.parseTail()
+		if err != nil {
+			return err
+		}
+		p.setLength(p.addNode(parent, label, labeled), length)
 
-func (p *parser) parseStagedSubtree() (*staged, error) {
-	p.skipSpace()
-	if p.peek() == '(' {
-		p.pos++
-		return p.parseStagedGroup()
-	}
-	label, labeled, err := p.parseLabel()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.parseLength(); err != nil {
-		return nil, err
-	}
-	return &staged{label: label, labeled: labeled}, nil
-}
-
-func (p *parser) emit(st *staged, parent tree.NodeID) {
-	id := p.addNode(parent, st.label, st.labeled)
-	for _, c := range st.children {
-		p.emit(c, id)
+		// The subtree just read is complete: close groups until a ','
+		// starts a sibling or the root ends.
+		for next := false; !next; {
+			p.skipSpace()
+			if len(open) == 0 {
+				if p.peek() != ';' {
+					return p.errorf("expected ';', got %q", string(p.peek()))
+				}
+				p.pos++
+				return nil
+			}
+			switch p.peek() {
+			case ',':
+				p.pos++
+				next = true
+			case ')':
+				p.pos++
+				n := open[len(open)-1]
+				open = open[:len(open)-1]
+				label, labeled, length, err := p.parseTail()
+				if err != nil {
+					return err
+				}
+				if labeled {
+					p.b.SetLabel(n, label)
+				}
+				p.setLength(n, length)
+			case 0:
+				return p.errorf("unexpected end of input inside '('")
+			default:
+				return p.errorf("expected ',' or ')', got %q", string(p.peek()))
+			}
+		}
 	}
 }
 
 func (p *parser) addNode(parent tree.NodeID, label string, labeled bool) tree.NodeID {
-	if parent == tree.None {
-		if labeled {
-			return p.b.Root(label)
-		}
-		return p.b.RootUnlabeled()
+	var id tree.NodeID
+	switch {
+	case parent == tree.None && labeled:
+		id = p.b.Root(label)
+	case parent == tree.None:
+		id = p.b.RootUnlabeled()
+	case labeled:
+		id = p.b.Child(parent, label)
+	default:
+		id = p.b.ChildUnlabeled(parent)
 	}
-	if labeled {
-		return p.b.Child(parent, label)
+	if p.lengths != nil {
+		p.lengths = append(p.lengths, 0)
 	}
-	return p.b.ChildUnlabeled(parent)
+	return id
+}
+
+// setLength records n's branch length when lengths are kept. The root
+// has no parent edge: its length is parsed and validated but stays 0.
+func (p *parser) setLength(n tree.NodeID, length float64) {
+	if p.lengths != nil && n != 0 {
+		p.lengths[n] = length
+	}
+}
+
+// parseTail reads the optional label and ":length" that end a subtree.
+func (p *parser) parseTail() (label string, labeled bool, length float64, err error) {
+	if label, labeled, err = p.parseLabel(); err != nil {
+		return "", false, 0, err
+	}
+	length, err = p.parseLength()
+	return label, labeled, length, err
 }
 
 // parseLabel reads an optional label. It returns labeled=false when no
-// label is present.
+// label is present. A quoted label without an escaped (doubled) quote is
+// returned as a substring of the input; only escaped labels are copied.
 func (p *parser) parseLabel() (string, bool, error) {
 	p.skipSpace()
 	if p.peek() == '\'' {
 		p.pos++
-		var b strings.Builder
+		start := p.pos
+		var b strings.Builder // used only once an escaped quote is seen
 		for {
-			if p.pos >= len(p.s) {
+			i := strings.IndexByte(p.s[p.pos:], '\'')
+			if i < 0 {
+				p.pos = len(p.s)
 				return "", false, p.errorf("unterminated quoted label")
 			}
-			c := p.s[p.pos]
-			if c == '\'' {
-				if p.pos+1 < len(p.s) && p.s[p.pos+1] == '\'' {
-					b.WriteByte('\'')
-					p.pos += 2
-					continue
-				}
-				p.pos++
-				return b.String(), true, nil
+			p.pos += i
+			if p.pos+1 < len(p.s) && p.s[p.pos+1] == '\'' {
+				b.WriteString(p.s[start : p.pos+1])
+				p.pos += 2
+				start = p.pos
+				continue
 			}
-			b.WriteByte(c)
+			label := p.s[start:p.pos]
 			p.pos++
+			if b.Len() > 0 {
+				b.WriteString(label)
+				label = b.String()
+			}
+			return label, true, nil
 		}
 	}
 	start := p.pos
-	for p.pos < len(p.s) && !isDelim(p.s[p.pos]) {
-		p.pos++
-	}
+	p.pos = p.tokenEnd()
 	if p.pos == start {
 		return "", false, nil
 	}
@@ -296,24 +290,33 @@ func isDelim(c byte) bool {
 	return false
 }
 
-// parseLength reads an optional ":<number>" branch length, validating the
-// number and discarding it.
-func (p *parser) parseLength() error {
+// tokenEnd returns the offset of the first delimiter at or after p.pos,
+// the end of an unquoted label or branch length.
+func (p *parser) tokenEnd() int {
+	s, i := p.s, p.pos
+	for i < len(s) && !isDelim(s[i]) {
+		i++
+	}
+	return i
+}
+
+// parseLength reads an optional ":<number>" branch length and returns
+// it, or p.def when there is none.
+func (p *parser) parseLength() (float64, error) {
 	p.skipSpace()
 	if p.peek() != ':' {
-		return nil
+		return p.def, nil
 	}
 	p.pos++
 	p.skipSpace()
 	start := p.pos
-	for p.pos < len(p.s) && !isDelim(p.s[p.pos]) {
-		p.pos++
-	}
-	if _, err := strconv.ParseFloat(p.s[start:p.pos], 64); err != nil {
+	p.pos = p.tokenEnd()
+	v, err := strconv.ParseFloat(p.s[start:p.pos], 64)
+	if err != nil {
 		p.pos = start
-		return p.errorf("invalid branch length %q", p.s[start:p.pos])
+		return 0, p.errorf("invalid branch length %q", p.s[start:p.pos])
 	}
-	return nil
+	return v, nil
 }
 
 // Write serializes t as a Newick string terminated by ';'. Labels

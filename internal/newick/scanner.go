@@ -67,7 +67,10 @@ func (s *Scanner) Skim() error {
 	return s.chunk()
 }
 
-// chunk scans one semicolon-terminated tree chunk into s.buf.
+// chunk scans one semicolon-terminated tree chunk into s.buf. It runs
+// over bufio's whole buffered window at a time (Peek, then Discard what
+// it consumed) rather than reading byte by byte. A stream whose rest is
+// only whitespace and complete comments is exhausted: io.EOF.
 func (s *Scanner) chunk() error {
 	if s.done {
 		return io.EOF
@@ -75,42 +78,55 @@ func (s *Scanner) chunk() error {
 	s.buf = s.buf[:0]
 	inQuote := false
 	commentDepth := 0
+	content := false // a byte outside whitespace and comments was seen
 	for {
-		c, err := s.r.ReadByte()
-		if err == io.EOF {
+		if _, err := s.r.Peek(1); err != nil {
 			s.done = true
-			if isBlank(string(s.buf)) {
+			if err != io.EOF {
+				return fmt.Errorf("newick: read: %w", err)
+			}
+			if !content && commentDepth == 0 {
 				return io.EOF
 			}
 			return &ParseError{Offset: s.offset, Msg: "missing ';'"}
 		}
-		if err != nil {
-			s.done = true
-			return fmt.Errorf("newick: read: %w", err)
-		}
-		s.offset++
-		s.buf = append(s.buf, c)
-		// State order matters: comments may contain quote characters and
-		// quoted labels may contain brackets, mirroring the parser.
-		switch {
-		case commentDepth > 0:
-			if c == '[' {
+		win, _ := s.r.Peek(s.r.Buffered()) // cannot fail: all of it is buffered
+		for i, c := range win {
+			// State order matters: comments may contain quote characters
+			// and quoted labels may contain brackets, mirroring the parser.
+			switch {
+			case commentDepth > 0:
+				if c == '[' {
+					commentDepth++
+				} else if c == ']' {
+					commentDepth--
+				}
+			case inQuote:
+				if c == '\'' {
+					inQuote = false
+				}
+			case c == '\'':
+				inQuote, content = true, true
+			case c == '[':
 				commentDepth++
-			} else if c == ']' {
-				commentDepth--
+			case c == ';':
+				win = win[:i+1]
+				s.consume(win)
+				return nil
+			case c == ' ', c == '\t', c == '\n', c == '\r':
+			default:
+				content = true
 			}
-		case inQuote:
-			if c == '\'' {
-				inQuote = false
-			}
-		case c == '\'':
-			inQuote = true
-		case c == '[':
-			commentDepth++
-		case c == ';':
-			return nil
 		}
+		s.consume(win)
 	}
+}
+
+// consume moves the peeked window into s.buf and past the reader.
+func (s *Scanner) consume(win []byte) {
+	s.buf = append(s.buf, win...)
+	s.offset += len(win)
+	s.r.Discard(len(win)) // cannot fail: win is already buffered
 }
 
 // Offset returns the number of bytes consumed from the stream so far.

@@ -113,6 +113,38 @@ func TestScannerBlankInput(t *testing.T) {
 	}
 }
 
+// TestScannerTrailingComment: after the last ';', a tail of whitespace
+// and complete comments is the end of the stream, as Parse already
+// accepts for a single tree; an unterminated comment is still an error.
+func TestScannerTrailingComment(t *testing.T) {
+	const input = "(a,b);\n[end of file [nested]]\n"
+	trees, err := ParseAll(strings.NewReader(input))
+	if err != nil || len(trees) != 1 {
+		t.Fatalf("ParseAll = %d trees, %v; want 1, nil", len(trees), err)
+	}
+	sc := NewScanner(strings.NewReader(input))
+	if err := sc.Skim(); err != nil {
+		t.Fatalf("Skim: %v", err)
+	}
+	if err := sc.Skim(); err != io.EOF {
+		t.Fatalf("Skim over trailing comment = %v, want io.EOF", err)
+	}
+	if sc.Offset() != len(input) {
+		t.Fatalf("Offset = %d, want %d", sc.Offset(), len(input))
+	}
+
+	const open = "(a,b);\n[end of file\n"
+	sc = NewScanner(strings.NewReader(open))
+	if _, err := sc.Next(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = sc.Next()
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.Msg != "missing ';'" || pe.Offset != len(open) {
+		t.Fatalf("unterminated trailing comment: err = %v, want missing ';' at %d", err, len(open))
+	}
+}
+
 // TestScannerAgreesWithParseAll: the streaming and materializing paths
 // must see the same forest.
 func TestScannerAgreesWithParseAll(t *testing.T) {

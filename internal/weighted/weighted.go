@@ -18,13 +18,15 @@ package weighted
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"treemine/internal/lca"
 	"treemine/internal/tree"
 )
 
-// ErrBadWeight is returned when an edge weight is not strictly positive.
+// ErrBadWeight is returned when an edge weight is not a strictly
+// positive finite number.
 var ErrBadWeight = errors.New("weighted: edge weights must be positive")
 
 // Tree couples a rooted unordered labeled tree with positive edge
@@ -35,8 +37,9 @@ type Tree struct {
 	w []float64
 }
 
-// New validates the weights (one per node, positive except the root's)
-// and returns the weighted tree.
+// New validates the weights (one per node, positive and finite except
+// the root's) and returns the weighted tree. NaN and ±Inf are rejected:
+// a NaN distance never equals itself, so it could never key an item.
 func New(t *tree.Tree, weights []float64) (*Tree, error) {
 	if len(weights) != t.Size() {
 		return nil, fmt.Errorf("weighted: %d weights for %d nodes", len(weights), t.Size())
@@ -45,7 +48,7 @@ func New(t *tree.Tree, weights []float64) (*Tree, error) {
 		if tree.NodeID(n) == t.Root() {
 			continue
 		}
-		if w <= 0 {
+		if !(w > 0) || math.IsInf(w, 1) {
 			return nil, fmt.Errorf("%w (node %d has %v)", ErrBadWeight, n, w)
 		}
 	}

@@ -28,6 +28,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(tr, []float64{0, -2}); !errors.Is(err, ErrBadWeight) {
 		t.Errorf("negative weight err = %v", err)
 	}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(tr, []float64{0, w}); !errors.Is(err, ErrBadWeight) {
+			t.Errorf("weight %v err = %v, want ErrBadWeight", w, err)
+		}
+	}
 	// The root's own entry may be anything.
 	if _, err := New(tr, []float64{-5, 1}); err != nil {
 		t.Errorf("root weight should be ignored: %v", err)

@@ -145,6 +145,12 @@ func TestWeightedFacade(t *testing.T) {
 	if _, err := treemine.ParseNewickWeighted("((x,y);", 1); err == nil {
 		t.Fatal("bad newick accepted")
 	}
+	// Non-finite branch lengths parse as numbers but are not weights.
+	for _, w := range []string{"NaN", "Inf", "-Inf"} {
+		if _, err := treemine.ParseNewickWeighted("((A:"+w+",B:1):1,C:1);", 1); err == nil {
+			t.Fatalf("branch length %s accepted", w)
+		}
+	}
 }
 
 func TestRankByUpDownFacade(t *testing.T) {
