@@ -245,10 +245,3 @@ func TestLoadErrors(t *testing.T) {
 		t.Errorf("truncated err = %v", err)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
