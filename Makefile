@@ -17,10 +17,7 @@
 # blocked path loses its same-process lead over the seed unit);
 # `make smoke` builds the cousinserve daemon, starts it on the testdata
 # index, runs one query of each kind, and requires a drained exit 0
-# after SIGTERM (see DESIGN.md §49); `make bench-serve` regenerates the
-# zero-copy serving recording (BENCH_6.json): decoded vs memory-mapped
-# v4 open/query cost on the 100k-tree corpus (see DESIGN.md §50);
-# `make bench-merge` runs the merge-path benchmarks plus their
+# after SIGTERM (see DESIGN.md §49); `make bench-merge` runs the merge-path benchmarks plus their
 # regression gate (fails when a 256-way merge costs over 6× an 8-way
 # merge per record, i.e. the head heap is gone); `make bench-gate` runs
 # the opt-in absolute-ns gates against BENCH_5.json and BENCH_7.json
@@ -43,7 +40,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check vet build test race chaos chaos-dist fuzz smoke smoke-dist bench bench-dist bench-parsimony bench-mine bench-serve bench-merge bench-gate bench-distmine bench-parse
+.PHONY: check vet build test race chaos chaos-dist fuzz smoke smoke-dist bench bench-dist bench-parsimony bench-mine bench-merge bench-gate bench-distmine bench-parse
 
 check: vet build test
 
@@ -103,9 +100,6 @@ bench-parsimony:
 bench-mine:
 	$(GO) test ./internal/core -run xxx -bench 'BenchmarkMineCore' -benchmem
 	$(GO) test ./internal/core -run 'BenchMineCoreRegressionGate' -v
-
-bench-serve:
-	$(GO) run ./cmd/benchpaper -exp serveopen -maxtrees 100000
 
 bench-merge:
 	$(GO) test ./internal/store -run xxx -bench 'BenchmarkMergePath' -benchmem

@@ -80,7 +80,6 @@ func experiments() []experiment {
 		{"measures", "cousin-based distances vs classical baselines under NNI perturbation (§7)", runMeasures},
 		{"ablation", "single-tree miner strategies compared (beyond the paper)", runAblation},
 		{"distmatrix", "pairwise tdist matrix fill: per-pair maps vs the profile engine", runDistMatrix},
-		{"serveopen", "daemon startup and query cost: decoded shard vs memory-mapped v4", runServeOpen},
 		{"distmine", "coordinator/worker mining: plan, N worker processes, merge vs single-process", runDistMine},
 	}
 }

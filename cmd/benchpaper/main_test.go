@@ -58,32 +58,6 @@ func TestFig6XL(t *testing.T) {
 	}
 }
 
-// TestServeOpen smokes the zero-copy serving experiment at a reduced
-// corpus: both backends must open, agree on the frequent-pair count
-// (same "pairs" cell twice), and print the speedup line.
-func TestServeOpen(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-exp", "serveopen", "-maxtrees", "300"}, &out); err != nil {
-		t.Fatalf("serveopen: %v", err)
-	}
-	s := out.String()
-	for _, want := range []string{"decoded", "mapped", "support ns/op", "open speedup:", "300 trees"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("serveopen missing %q:\n%s", want, s)
-		}
-	}
-	var pairs []string
-	for _, l := range strings.Split(s, "\n") {
-		f := strings.Fields(l)
-		if len(f) > 0 && (f[0] == "decoded" || f[0] == "mapped") {
-			pairs = append(pairs, f[len(f)-1])
-		}
-	}
-	if len(pairs) != 2 || pairs[0] != pairs[1] {
-		t.Errorf("backends disagree on frequent-pair count %v:\n%s", pairs, s)
-	}
-}
-
 // TestFig6MaxTreesFlag pins the shared sweep runner: -trees (the alias)
 // caps the fig6 sweep.
 func TestFig6MaxTreesFlag(t *testing.T) {

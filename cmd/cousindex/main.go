@@ -10,15 +10,15 @@
 //	cousindex query -i db.idx -pair "Gnetum,Welwitschia" [-pair ...] [-dist 0|0.5|*]
 //	cousindex info -i db.idx
 //
-// -pair may repeat; all probes run against the item sets mined once at
-// build time (core.SupportOf), so querying many pairs costs one index
-// load, not one mining pass per pair.
-//
 // compact streams any index, shard checkpoint, or v4 file into the v4
 // zero-copy layout cousinserve memory-maps for O(1) startup; build
-// -compact writes one alongside the index in the same run. frequent and
-// info accept v4 files directly; query needs the per-tree item sets
-// only a v1/v2 index keeps.
+// -compact writes one alongside the index in the same run.
+//
+// frequent, query and info answer from that layout too: a v4 file is
+// memory-mapped, any other store file is compacted in memory first.
+// -pair may repeat; every probe reads the per-tree item sets mined once
+// at build time, which a file compacted from an index keeps and one
+// compacted from a shard does not — query needs an index or its v4.
 package main
 
 import (
@@ -138,26 +138,9 @@ func runCompact(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// openMappedIf returns the mapped view when path holds a v4 file, nil
-// when it holds anything else (the caller falls back to loadIndex).
-func openMappedIf(path string) (*store.Mapped, error) {
-	if path == "" {
-		return nil, fmt.Errorf("-i index file is required")
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var head [12]byte
-	_, rerr := io.ReadFull(f, head[:])
-	f.Close()
-	if rerr != nil || string(head[:]) != "TREEMINEIDX4" {
-		return nil, nil
-	}
-	return store.OpenMapped(path)
-}
-
-func loadIndex(path string) (*store.Index, error) {
+// openIndex opens any store file for querying: a v4 file is
+// memory-mapped, any other format is compacted to v4 in memory.
+func openIndex(path string) (*store.Mapped, error) {
 	if path == "" {
 		return nil, fmt.Errorf("-i index file is required")
 	}
@@ -166,7 +149,14 @@ func loadIndex(path string) (*store.Index, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return store.Load(f)
+	var head [12]byte
+	if _, err := io.ReadFull(f, head[:]); err == nil && string(head[:]) == "TREEMINEIDX4" {
+		return store.OpenMapped(path)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	return store.OpenMappedReader(f)
 }
 
 func runFrequent(args []string, stdout io.Writer) error {
@@ -177,21 +167,13 @@ func runFrequent(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var pairs []core.FrequentPair
-	if m, err := openMappedIf(*in); err != nil {
+	m, err := openIndex(*in)
+	if err != nil {
 		return err
-	} else if m != nil {
-		defer m.Close()
-		pairs = m.Frequent(*minSup)
-	} else {
-		ix, err := loadIndex(*in)
-		if err != nil {
-			return err
-		}
-		pairs = ix.Frequent(*minSup)
 	}
+	defer m.Close()
 	tb := benchutil.NewTable("label1", "label2", "dist", "support")
-	for _, p := range pairs {
+	for _, p := range m.Frequent(*minSup) {
 		tb.AddRow(p.Key.A, p.Key.B, p.Key.D.String(), p.Support)
 	}
 	tb.Fprint(stdout)
@@ -225,32 +207,33 @@ func runQuery(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if m, merr := openMappedIf(*in); merr != nil {
-		return merr
-	} else if m != nil {
-		m.Close()
-		return fmt.Errorf("query: %s is a v4 aggregate without per-tree item sets; query the v1/v2 index it was compacted from, or serve it with cousinserve and use /v1/support", *in)
-	}
-	ix, err := loadIndex(*in)
+	m, err := openIndex(*in)
 	if err != nil {
 		return err
 	}
-	// All probes share the item sets mined at build time.
-	sets := ix.ItemSets()
+	defer m.Close()
+	if !m.HasTrees() {
+		return fmt.Errorf("query: %s holds aggregate counts without per-tree item sets (it comes from a shard); serve it with cousinserve and use /v1/support", *in)
+	}
 	for _, pair := range pairs {
 		parts := strings.SplitN(pair, ",", 2)
 		if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
 			return fmt.Errorf(`query: -pair must look like "labelA,labelB"`)
 		}
 		l1, l2 := strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])
-		sup := core.SupportOf(sets, l1, l2, d)
+		lo, hi := m.Records(l1, l2, d)
+		var hits []int
+		for t := 0; t < m.Trees(); t++ {
+			if m.TreeOccur(t, lo, hi) > 0 {
+				hits = append(hits, t)
+			}
+		}
 		fmt.Fprintf(stdout, "support of (%s, %s) at distance %s: %d of %d trees\n",
-			l1, l2, d, sup, ix.NumTrees())
+			l1, l2, d, len(hits), m.Trees())
 		if !d.IsWild() {
-			for _, i := range ix.TreesWith(core.NewKey(l1, l2, d)) {
-				e := ix.Entries[i]
+			for _, t := range hits {
 				fmt.Fprintf(stdout, "  %s (%d nodes, %d occurrences)\n",
-					e.Name, e.Nodes, e.Items[core.NewKey(l1, l2, d)])
+					m.TreeName(t), m.TreeNodes(t), m.TreeOccur(t, lo, hi))
 			}
 		}
 	}
@@ -264,28 +247,17 @@ func runInfo(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if m, merr := openMappedIf(*in); merr != nil {
-		return merr
-	} else if m != nil {
-		defer m.Close()
-		opts := m.Options()
-		keying := "packed"
-		if m.Generic() {
-			keying = "generic"
-		}
-		fmt.Fprintf(stdout, "format: v4 (zero-copy, %s keys)\ntrees: %d\npairs: %d\nlabels: %d\nmaxdist: %s\nminoccur: %d\nignoredist: %v\nbytes: %d\n",
-			keying, m.Trees(), m.Len(), m.NumSymbols(), opts.MaxDist, opts.MinOccur, opts.IgnoreDist, m.Size())
-		return nil
-	}
-	ix, err := loadIndex(*in)
+	m, err := openIndex(*in)
 	if err != nil {
 		return err
 	}
-	items := 0
-	for _, e := range ix.Entries {
-		items += len(e.Items)
+	defer m.Close()
+	opts := m.Options()
+	keying := "packed"
+	if m.Generic() {
+		keying = "generic"
 	}
-	fmt.Fprintf(stdout, "trees: %d\nitems: %d\nmaxdist: %s\nminoccur: %d\n",
-		ix.NumTrees(), items, ix.Options.MaxDist, ix.Options.MinOccur)
+	fmt.Fprintf(stdout, "format: v4 (zero-copy, %s keys, per-tree item sets: %v)\ntrees: %d\nitems: %d\npairs: %d\nlabels: %d\nmaxdist: %s\nminoccur: %d\nignoredist: %v\nbytes: %d\n",
+		keying, m.HasTrees(), m.Trees(), m.Items(), m.Len(), m.NumSymbols(), opts.MaxDist, opts.MinOccur, opts.IgnoreDist, m.Size())
 	return nil
 }

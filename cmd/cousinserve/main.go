@@ -7,12 +7,14 @@
 //	cousinserve -index db.idx [-addr :8437] [-cache 4096]
 //	            [-timeout 5s] [-drain 10s] [-addr-file PATH]
 //
-// The -index file is a cousindex v1/v2 index (all endpoints), a
-// cousinmine v3 shard checkpoint (support/frequent/stats only; a
-// shard holds aggregate counts, not per-tree item sets), or a v4
-// compacted file (cousindex compact) — detected by magic. v4 files are
-// memory-mapped: startup is O(1) regardless of index size and queries
-// binary-search the file in place.
+// The -index file is a v4 file (cousindex compact), a cousindex v1/v2
+// index, or a cousinmine v3 shard checkpoint — detected by magic. Every
+// query is answered from the v4 layout: a v4 file is memory-mapped, so
+// startup is O(1) regardless of index size and queries binary-search
+// the file in place; any other format is compacted to v4 in memory at
+// startup. A file from an index answers every endpoint; one from a
+// shard holds aggregate counts, not per-tree item sets, so it answers
+// support (in the distance form it was mined with), frequent and stats.
 //
 // Endpoints:
 //
@@ -38,7 +40,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -58,15 +59,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cousinserve:", err)
 		os.Exit(1)
 	}
-}
-
-// publishCacheStats exposes the result-cache counters at /debug/vars.
-// expvar panics on duplicate names, so re-publishing (tests run the
-// daemon many times per process) replaces the previous server's gauge.
-var cacheStatsVar = expvar.NewMap("cousinserve_cache")
-
-func publishCacheStats(s *serve.Server) {
-	cacheStatsVar.Set("stats", expvar.Func(func() any { return s.CacheStats() }))
 }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
@@ -95,7 +87,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	defer b.Close()
 
 	s := serve.New(b, serve.Config{CacheEntries: *cache, RequestTimeout: *timeout})
-	publishCacheStats(s)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

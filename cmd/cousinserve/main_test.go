@@ -89,16 +89,16 @@ func writeIndexV4(t *testing.T) string {
 	return path
 }
 
-// smokeQueriesV4 mirrors smokeQueries for a mapped v4 backend: the
-// aggregate serves support/frequent/stats; tdist needs per-tree item
-// sets and must answer a clean 501, never a wrong number.
+// smokeQueriesV4 mirrors smokeQueries for a mapped v4 backend: a file
+// compacted from an index keeps its per-tree item sets, so it answers
+// every query, tdist included.
 var smokeQueriesV4 = []struct {
 	path string
 	want int
 }{
 	{"/v1/support?l1=Gnetum&l2=Welwitschia&dist=0", http.StatusOK},
 	{"/v1/frequent?minsup=2", http.StatusOK},
-	{"/v1/tdist?t1=tree_1&t2=tree_2", http.StatusNotImplemented},
+	{"/v1/tdist?t1=tree_1&t2=tree_2", http.StatusOK},
 	{"/v1/stats", http.StatusOK},
 	{"/healthz", http.StatusOK},
 }

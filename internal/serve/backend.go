@@ -29,9 +29,9 @@ var (
 	// ErrUnknownTree reports a tree-distance query naming a tree the
 	// index does not contain (HTTP 404).
 	ErrUnknownTree = errors.New("serve: unknown tree")
-	// ErrUnsupported reports a query the loaded backend cannot answer —
-	// e.g. tree distance against a v3 shard, which aggregates support
-	// without keeping per-tree item sets (HTTP 501).
+	// ErrUnsupported reports a query the loaded file cannot answer —
+	// e.g. tree distance against a file compacted from a shard, which
+	// aggregates support without keeping per-tree item sets (HTTP 501).
 	ErrUnsupported = errors.New("serve: query not supported by this backend")
 )
 
@@ -40,50 +40,15 @@ var (
 // work proportional to index size.
 const ctxCheckEvery = 4096
 
-// Backend answers queries from one immutably loaded index. After Open
-// returns, nothing mutates the backend, the wrapped index, or the
-// symbol table — which is what makes a Backend safe for any number of
-// concurrent readers with no locking.
+// Backend answers queries from one v4 file, mapped or compacted in
+// memory at open: support probes binary-search its record section,
+// frequent listings walk its support-descending permutation, and tree
+// distance and wildcard support read its per-tree section. A Mapped is
+// immutable, so a Backend is safe for any number of concurrent readers
+// with no locking.
 type Backend struct {
-	kind string // "index", "shard", or "mapped"
-
-	// syms interns every label the loaded data mentions; it is used
-	// read-only (Lookup) after load, for cache-key packing and, in shard
-	// mode, support lookups.
-	syms *core.Symbols
-
-	// full is the complete frequent-pair listing at minsup 1, sorted by
-	// decreasing support then key. Frequent filters it, which matches
-	// store.Index.Frequent / SupportShard.Finalize for every minsup
-	// because filtering preserves the shared total order.
-	full []core.FrequentPair
-
-	trees int
-	items int
-
-	// Index mode: the loaded index, its per-tree item sets, and tree
-	// name → entry position (first occurrence wins on duplicates).
-	ix    *store.Index
-	sets  []core.ItemSet
-	names map[string]int
-
-	// Shard mode: support counts plus the shard's mining options. A
-	// packed shard (MaxDist ≤ MaxPackedDist) probes sup by packed IKey;
-	// a generic shard (mined past MaxPackedDist, so its distances do not
-	// fit IKey's 4-bit field) keeps string keys in gsup, exactly as
-	// core.SupportShard itself does. Exactly one of the two maps is set.
-	// shOpts also carries the mining options in mapped mode, so the
-	// aggregate capability rules below read one field for both.
-	sup    map[core.IKey]int64
-	gsup   map[core.Key]int64
-	shOpts core.ForestOptions
-
-	// Mapped mode: a v4 file queried in place. No syms, no full listing,
-	// no maps — support probes binary-search the mapped bytes and
-	// frequent listings walk the file's support-descending permutation,
-	// so opening is O(1) and resident memory is whatever the kernel has
-	// paged in.
-	m *store.Mapped
+	kind string // source format, reported by Kind and Stats only
+	m    *store.Mapped
 }
 
 // faultReader injects the serve/load failpoint into every read, so the
@@ -97,49 +62,43 @@ func (fr faultReader) Read(p []byte) (int, error) {
 	return fr.r.Read(p)
 }
 
-// Open reads a store file and builds the matching backend: a v1/v2
-// index file (cousindex build) serves every endpoint; a v3 shard
-// checkpoint (cousinmine -checkpoint) serves support, frequent, and
-// stats — a shard holds aggregate counts, not per-tree item sets, so
-// tree-distance queries report ErrUnsupported. A v4 compacted file
-// (cousindex compact) serves the same aggregate endpoints; Open has
-// only a reader, so the bytes are held in memory — prefer OpenPath,
-// which memory-maps v4 files instead.
+// kindOf names a store file's format by its magic: "mapped" for v4,
+// "shard" for a v3 checkpoint, "index" for anything else (v1/v2).
+func kindOf(head []byte) string {
+	switch string(head) {
+	case "TREEMINEIDX4":
+		return "mapped"
+	case "TREEMINEIDX3":
+		return "shard"
+	}
+	return "index"
+}
+
+// Open reads a store file into a backend. v4 bytes are validated and
+// served as they are; a v1/v2 index (cousindex build) or a v3 shard
+// checkpoint (cousinmine -checkpoint) is compacted to v4 in memory
+// first. A file from an index answers every endpoint; one from a shard
+// holds aggregate counts, not per-tree item sets, so tree distance and
+// the distance form it was not mined with report ErrUnsupported. Open
+// holds the whole image in memory — prefer OpenPath, which
+// memory-maps v4 files instead.
 func Open(r io.Reader) (*Backend, error) {
 	br := bufio.NewReader(faultReader{r})
-	head, err := br.Peek(len("TREEMINEIDX3"))
+	head, err := br.Peek(len("TREEMINEIDX4"))
 	if err != nil {
 		return nil, fmt.Errorf("serve: read index header: %w", err)
 	}
-	switch string(head) {
-	case "TREEMINEIDX4":
-		raw, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("serve: read v4 index: %w", err)
-		}
-		m, err := store.OpenMappedBytes(raw)
-		if err != nil {
-			return nil, err
-		}
-		return newMappedBackend(m), nil
-	case "TREEMINEIDX3":
-		sh, err := store.LoadShard(br)
-		if err != nil {
-			return nil, err
-		}
-		return newShardBackend(sh), nil
-	}
-	ix, err := store.Load(br)
+	m, err := store.OpenMappedReader(br)
 	if err != nil {
 		return nil, err
 	}
-	return newIndexBackend(ix), nil
+	return &Backend{kind: kindOf(head), m: m}, nil
 }
 
 // OpenPath opens the store file at path, auto-detecting the format by
 // magic: v4 files are memory-mapped (store.OpenMapped — O(1) startup,
-// zero-copy queries), everything else goes through Open's decode path.
-// Close the returned backend when done serving.
+// zero-copy queries), everything else goes through Open. Close the
+// returned backend when done serving.
 func OpenPath(path string) (*Backend, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -160,7 +119,7 @@ func OpenPath(path string) (*Backend, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newMappedBackend(m), nil
+		return &Backend{kind: "mapped", m: m}, nil
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
@@ -168,151 +127,49 @@ func OpenPath(path string) (*Backend, error) {
 	return Open(f)
 }
 
-// Close releases backend resources — the mmap in mapped mode, nothing
-// elsewhere. No queries may be in flight or issued afterwards.
-func (b *Backend) Close() error {
-	if b.m != nil {
-		return b.m.Close()
-	}
-	return nil
-}
+// Close releases the mapping (a no-op for a file Open compacted in
+// memory). No queries may be in flight or issued afterwards.
+func (b *Backend) Close() error { return b.m.Close() }
 
-// newIndexBackend wraps a loaded (or built) store.Index.
-func newIndexBackend(ix *store.Index) *Backend {
-	b := &Backend{
-		kind:  "index",
-		syms:  core.NewSymbols(),
-		trees: ix.NumTrees(),
-		ix:    ix,
-		sets:  ix.ItemSets(),
-		names: make(map[string]int, len(ix.Entries)),
-	}
-	for i, e := range ix.Entries {
-		if _, dup := b.names[e.Name]; !dup {
-			b.names[e.Name] = i
-		}
-		b.items += len(e.Items)
-		for k := range e.Items {
-			b.syms.Intern(k.A)
-			b.syms.Intern(k.B)
-		}
-	}
-	b.full = ix.Frequent(1)
-	return b
-}
-
-// newShardBackend wraps a loaded v3 support shard. The snapshot's label
-// table is re-interned in order, so snapshot symbol IDs and backend
-// symbol IDs coincide and packed counts can be probed directly. A shard
-// mined past MaxPackedDist keeps string keys instead: its distances
-// overflow IKey's 4-bit field — NewIKey(a, b, 15) == NewIKey(a, b+1,
-// DistWild) — which would silently merge counts of distinct pairs.
-func newShardBackend(sh *core.SupportShard) *Backend {
-	opts, trees, labels, items := sh.Snapshot()
-	b := &Backend{
-		kind:   "shard",
-		syms:   core.NewSymbols(),
-		trees:  trees,
-		shOpts: opts,
-	}
-	for _, l := range labels {
-		b.syms.Intern(l)
-	}
-	if opts.MaxDist <= core.MaxPackedDist {
-		b.sup = make(map[core.IKey]int64, len(items))
-		for _, it := range items {
-			b.sup[core.NewIKey(it.A, it.B, it.D)] += it.N
-		}
-	} else {
-		b.gsup = make(map[core.Key]int64, len(items))
-		for _, it := range items {
-			b.gsup[core.NewKey(labels[it.A], labels[it.B], it.D)] += it.N
-		}
-	}
-	b.full = sh.Finalize(1)
-	return b
-}
-
-// newMappedBackend wraps an opened v4 file. Nothing is decoded or
-// copied: the backend is a thin capability layer over the mapped
-// accessors, with the same aggregate semantics as a shard backend.
-func newMappedBackend(m *store.Mapped) *Backend {
-	return &Backend{
-		kind:   "mapped",
-		trees:  m.Trees(),
-		items:  int(m.Items()),
-		shOpts: m.Options(),
-		m:      m,
-	}
-}
-
-// Kind reports which store format backs the server: "index", "shard",
-// or "mapped" (a memory-mapped v4 file).
+// Kind reports which store format the backend was opened from:
+// "index" (v1/v2), "shard" (v3), or "mapped" (v4).
 func (b *Backend) Kind() string { return b.kind }
 
 // Trees returns the number of trees the loaded data covers.
-func (b *Backend) Trees() int { return b.trees }
+func (b *Backend) Trees() int { return b.m.Trees() }
 
 // Support returns the number of trees containing the label pair at
-// distance d (DistWild: at any distance). Index mode answers both forms
-// from the per-tree item sets, exactly as store.Index.Support does. A
-// shard only holds the distance form it was mined with: a
-// distance-keyed shard cannot answer wildcard probes (a tree containing
-// the pair at two distances would be double-counted) and an IgnoreDist
-// shard cannot answer concrete ones — both report ErrUnsupported.
+// distance d (DistWild: at any distance). Concrete distances read the
+// file's aggregate counts; so does the wildcard on an IgnoreDist file,
+// whose records are all wildcard aggregates. Otherwise the wildcard
+// counts the trees whose per-tree items hold any of the pair's records,
+// as core.SupportOf does over the item sets. A file without per-tree
+// items cannot answer wildcard probes (a tree containing the pair at
+// two distances would be double-counted), and an IgnoreDist file cannot
+// answer concrete ones — both report ErrUnsupported.
 func (b *Backend) Support(ctx context.Context, l1, l2 string, d core.Dist) (int, error) {
-	if b.ix != nil {
-		if !d.IsWild() {
-			return b.ix.Support(l1, l2, d), nil
-		}
-		// The wildcard probe scans every per-tree item set (the same
-		// loop as core.SupportOf), so it honors the request deadline.
-		n := 0
-		for i, s := range b.sets {
-			if i%ctxCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return 0, err
-				}
-			}
-			if _, ok := s.MinDistOf(l1, l2); ok {
-				n++
-			}
-		}
-		return n, nil
-	}
-	if d.IsWild() != b.shOpts.IgnoreDist {
-		if b.shOpts.IgnoreDist {
-			return 0, fmt.Errorf("%w: shard was mined distance-insensitively (use dist=*)", ErrUnsupported)
-		}
+	opts := b.m.Options()
+	switch {
+	case d.IsWild() == opts.IgnoreDist:
+		return int(b.m.Support(l1, l2, d)), nil
+	case opts.IgnoreDist:
+		return 0, fmt.Errorf("%w: shard was mined distance-insensitively (use dist=*)", ErrUnsupported)
+	case !b.m.HasTrees():
 		return 0, fmt.Errorf("%w: wildcard support is not derivable from a distance-keyed shard", ErrUnsupported)
 	}
-	if b.m != nil {
-		if !d.IsWild() && !b.m.Generic() && d > b.shOpts.MaxDist {
-			// Same guard as the packed map below: the true count is 0, and
-			// a packed probe past MaxPackedDist would overflow IKey's
-			// distance field. (A generic file compares distances as
-			// integers, so its lookup is total.)
-			return 0, nil
+	lo, hi := b.m.Records(l1, l2, core.DistWild)
+	n := 0
+	for t := 0; t < b.m.Trees(); t++ {
+		if t%ctxCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
 		}
-		return int(b.m.Support(l1, l2, d)), nil
+		if b.m.TreeOccur(t, lo, hi) > 0 {
+			n++
+		}
 	}
-	if b.gsup != nil {
-		// Generic-mode shard: string-keyed counts answer any distance.
-		return int(b.gsup[core.NewKey(l1, l2, d)]), nil
-	}
-	if d > b.shOpts.MaxDist {
-		// Nothing was mined past MaxDist, so the true count is 0 — and a
-		// packed probe there would overflow IKey's distance field and
-		// read some other pair's count (parseDist admits distances up to
-		// 1<<16 halves, far past MaxPackedDist).
-		return 0, nil
-	}
-	a, ok1 := b.syms.Lookup(l1)
-	bb, ok2 := b.syms.Lookup(l2)
-	if !ok1 || !ok2 {
-		return 0, nil
-	}
-	return int(b.sup[core.NewIKey(a, bb, d)]), nil
+	return n, nil
 }
 
 // Frequent returns the pairs with support ≥ minSup whose distance
@@ -321,72 +178,53 @@ func (b *Backend) Support(ctx context.Context, l1, l2 string, d core.Dist) (int,
 // matches before truncation. A DistWild maxDist means no filter;
 // wildcard-distance pairs (from IgnoreDist data) pass every filter,
 // since they carry no concrete distance to test.
+//
+// It walks the file's support-descending permutation: the base record
+// order is CompareKeys order, so a stable support sort over it is
+// exactly the Finalize(1) total order. Supports along the walk are
+// non-increasing, so the minsup cutoff ends the scan; pairs only
+// materialize when listed.
 func (b *Backend) Frequent(ctx context.Context, minSup int, maxDist core.Dist, limit int) (pairs []core.FrequentPair, total int, err error) {
 	pairs = []core.FrequentPair{}
-	if b.m != nil {
-		// Walk the file's support-descending permutation: the base record
-		// order is CompareKeys order, so a stable support sort over it is
-		// exactly the Finalize(1) total order the decoded backends use.
-		// Supports along the walk are non-increasing, so the minsup
-		// cutoff ends the scan; pairs only materialize when listed.
-		for i, n := 0, b.m.Len(); i < n; i++ {
-			if i%ctxCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, 0, err
-				}
-			}
-			rec := b.m.PermAt(i)
-			if b.m.SupportAt(rec) < int64(minSup) {
-				break
-			}
-			if !maxDist.IsWild() {
-				if d := b.m.DistAt(rec); !d.IsWild() && d > maxDist {
-					continue
-				}
-			}
-			total++
-			if limit <= 0 || len(pairs) < limit {
-				pairs = append(pairs, b.m.PairAt(rec))
-			}
-		}
-		return pairs, total, nil
-	}
-	for i, p := range b.full {
+	for i, n := 0, b.m.Len(); i < n; i++ {
 		if i%ctxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, 0, err
 			}
 		}
-		if p.Support < minSup {
-			continue
+		rec := b.m.PermAt(i)
+		if b.m.SupportAt(rec) < int64(minSup) {
+			break
 		}
-		if !maxDist.IsWild() && !p.Key.D.IsWild() && p.Key.D > maxDist {
-			continue
+		if !maxDist.IsWild() {
+			if d := b.m.DistAt(rec); !d.IsWild() && d > maxDist {
+				continue
+			}
 		}
 		total++
 		if limit <= 0 || len(pairs) < limit {
-			pairs = append(pairs, p)
+			pairs = append(pairs, b.m.PairAt(rec))
 		}
 	}
 	return pairs, total, nil
 }
 
-// resolve maps a tree name to its entry index.
+// resolve maps a tree name to its index (the first of duplicates).
 func (b *Backend) resolve(name string) (int, error) {
-	i, ok := b.names[name]
+	t, ok := b.m.TreeByName(name)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownTree, name)
 	}
-	return i, nil
+	return t, nil
 }
 
 // TDist computes the paper's cousin-based tree distance (Eq. 6, under
 // the requested variant) and similarity score (Eq. 4) between two named
-// trees, from the item sets mined at index build time — the library's
-// core.TDistItems and core.SimItems on the stored sets. Shard backends
-// report ErrUnsupported.
+// trees: the library's core.TDistItems and core.SimItems on the item
+// sets mined at index build time. A file without per-tree items reports
+// ErrUnsupported.
 func (b *Backend) TDist(t1, t2 string, v core.Variant) (tdist, sim float64, err error) {
-	if b.ix == nil {
+	if !b.m.HasTrees() {
 		return 0, 0, fmt.Errorf("%w: tree distance needs per-tree item sets (serve an index, not a shard)", ErrUnsupported)
 	}
 	i, err := b.resolve(t1)
@@ -397,7 +235,7 @@ func (b *Backend) TDist(t1, t2 string, v core.Variant) (tdist, sim float64, err 
 	if err != nil {
 		return 0, 0, err
 	}
-	s1, s2 := b.sets[i], b.sets[j]
+	s1, s2 := b.m.TreeItems(i), b.m.TreeItems(j)
 	return core.TDistItems(s1, s2, v), core.SimItems(s1, s2), nil
 }
 
@@ -405,10 +243,9 @@ func (b *Backend) TDist(t1, t2 string, v core.Variant) (tdist, sim float64, err 
 // the store file, so stats responses are byte-stable across runs.
 //
 // The supports_* fields advertise which query shapes this backend can
-// answer, so clients discover the mapped/shard limitations (no tree
-// distance without per-tree item sets; one support keying, concrete or
-// wildcard, per shard) from one stats call instead of probing
-// endpoints for 501s.
+// answer, so clients discover the limits of a file without per-tree
+// items (no tree distance; one support keying, concrete or wildcard)
+// from one stats call instead of probing endpoints for 501s.
 type Stats struct {
 	Backend    string    `json:"backend"`
 	Trees      int       `json:"trees"`
@@ -418,8 +255,7 @@ type Stats struct {
 	MaxDist    core.Dist `json:"maxdist"`
 	MinOccur   int       `json:"minoccur"`
 	IgnoreDist bool      `json:"ignoredist"`
-	// SupportsTDist: /v1/tdist works (index backends only — tree
-	// distance needs the per-tree item sets).
+	// SupportsTDist: /v1/tdist works (files with per-tree item sets).
 	SupportsTDist bool `json:"supports_tdist"`
 	// SupportsConcreteDist: /v1/support with a concrete dist works.
 	SupportsConcreteDist bool `json:"supports_concrete_dist"`
@@ -429,71 +265,47 @@ type Stats struct {
 
 // Stats returns the backend's description: tree and label counts, the
 // number of distinct support entries (Pairs), the total per-tree items
-// (Items, index mode only), and the mining parameters.
+// (Items, 0 without per-tree items), the mining parameters, and the
+// capabilities Support and TDist derive from the same file properties.
 func (b *Backend) Stats() Stats {
-	st := Stats{
-		Backend: b.kind,
-		Trees:   b.trees,
-		Items:   b.items,
-		// Mirrors the Support/TDist dispatch exactly: index backends
-		// answer everything; shard and mapped backends answer only the
-		// keying they were mined under, and never tree distance.
-		SupportsTDist:        b.ix != nil,
-		SupportsConcreteDist: b.ix != nil || !b.shOpts.IgnoreDist,
-		SupportsWildcard:     b.ix != nil || b.shOpts.IgnoreDist,
+	opts := b.m.Options()
+	return Stats{
+		Backend:              b.kind,
+		Trees:                b.m.Trees(),
+		Labels:               b.m.NumSymbols(),
+		Pairs:                b.m.Len(),
+		Items:                int(b.m.Items()),
+		MaxDist:              opts.MaxDist,
+		MinOccur:             opts.MinOccur,
+		IgnoreDist:           opts.IgnoreDist,
+		SupportsTDist:        b.m.HasTrees(),
+		SupportsConcreteDist: !opts.IgnoreDist,
+		SupportsWildcard:     opts.IgnoreDist || b.m.HasTrees(),
 	}
-	switch {
-	case b.m != nil:
-		st.Labels = b.m.NumSymbols()
-		st.Pairs = b.m.Len()
-		st.MaxDist = b.shOpts.MaxDist
-		st.MinOccur = b.shOpts.MinOccur
-		st.IgnoreDist = b.shOpts.IgnoreDist
-	case b.ix != nil:
-		st.Labels = b.syms.Len()
-		st.Pairs = len(b.full)
-		st.MaxDist = b.ix.Options.MaxDist
-		st.MinOccur = b.ix.Options.MinOccur
-	default:
-		st.Labels = b.syms.Len()
-		st.Pairs = len(b.full)
-		st.MaxDist = b.shOpts.MaxDist
-		st.MinOccur = b.shOpts.MinOccur
-		st.IgnoreDist = b.shOpts.IgnoreDist
-	}
-	return st
 }
 
 // supportCacheKey packs a support probe into a cache key: the pair's
-// interned IKey. Probes naming labels the index never saw, or distances
-// beyond the packed range, are not cacheable (they also cannot collide
-// with any cached answer, which is the invariant that matters).
+// IKey over the file's label ranks. Probes naming labels the index
+// never saw, or distances beyond the packed range, are not cacheable
+// (they also cannot collide with any cached answer, which is the
+// invariant that matters).
 func (b *Backend) supportCacheKey(l1, l2 string, d core.Dist) (CacheKey, bool) {
 	if d > core.MaxPackedDist {
 		return CacheKey{}, false
 	}
-	var a, bb uint32
-	var ok1, ok2 bool
-	if b.m != nil {
-		// Mapped mode has no intern table; label ranks in the sorted
-		// symbol section are just as collision-free within one backend.
-		a, ok1 = b.m.LookupSymbol(l1)
-		bb, ok2 = b.m.LookupSymbol(l2)
-	} else {
-		a, ok1 = b.syms.Lookup(l1)
-		bb, ok2 = b.syms.Lookup(l2)
-	}
+	a, ok1 := b.m.LookupSymbol(l1)
+	bb, ok2 := b.m.LookupSymbol(l2)
 	if !ok1 || !ok2 {
 		return CacheKey{}, false
 	}
 	return CacheKey{Kind: kindSupport, K1: uint64(core.NewIKey(a, bb, d))}, true
 }
 
-// tdistCacheKey packs a tree-distance query: the two entry indices (in
+// tdistCacheKey packs a tree-distance query: the two tree indices (in
 // request order, matching the response echo) and the variant.
 func (b *Backend) tdistCacheKey(t1, t2 string, v core.Variant) (CacheKey, bool) {
-	i, ok1 := b.names[t1]
-	j, ok2 := b.names[t2]
+	i, ok1 := b.m.TreeByName(t1)
+	j, ok2 := b.m.TreeByName(t2)
 	if !ok1 || !ok2 {
 		return CacheKey{}, false
 	}

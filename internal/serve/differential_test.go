@@ -82,7 +82,7 @@ func TestServerDifferentialIndex(t *testing.T) {
 	s, ts := newTestServer(t, openBackend(t, ix), Config{CacheEntries: 256})
 
 	labels := diffLabels()
-	sets := ix.ItemSets()
+	sets := indexSets(ix)
 	rng := rand.New(rand.NewSource(99))
 	randLabel := func() string {
 		if rng.Intn(10) == 0 {
@@ -99,7 +99,7 @@ func TestServerDifferentialIndex(t *testing.T) {
 			k := core.NewKey(l1, l2, d)
 			want := expect(t, supportResponse{
 				L1: k.A, L2: k.B, Dist: k.D,
-				Support: ix.Support(l1, l2, d), // the library answer
+				Support: indexSupport(ix, l1, l2, d), // the library answer
 				Trees:   ix.NumTrees(),
 			})
 			q := url.Values{"l1": {l1}, "l2": {l2}, "dist": {d.String()}}
@@ -109,7 +109,7 @@ func TestServerDifferentialIndex(t *testing.T) {
 			minsup := 1 + rng.Intn(6)
 			maxd := dists[rng.Intn(len(dists))]
 			limit := rng.Intn(12) // 0 = unlimited
-			lib := ix.Frequent(minsup)
+			lib := indexFrequent(ix, minsup)
 			matched := []core.FrequentPair{}
 			for _, p := range lib {
 				if !maxd.IsWild() && !p.Key.D.IsWild() && p.Key.D > maxd {
@@ -177,7 +177,7 @@ func TestServerDifferentialIndex(t *testing.T) {
 			want := expect(t, statsResponse{
 				Stats: Stats{
 					Backend: "index", Trees: ix.NumTrees(), Labels: len(distinct),
-					Pairs: len(ix.Frequent(1)), Items: items,
+					Pairs: len(indexFrequent(ix, 1)), Items: items,
 					MaxDist: opts.MaxDist, MinOccur: opts.MinOccur,
 					// An index backend answers every query shape.
 					SupportsTDist: true, SupportsConcreteDist: true, SupportsWildcard: true,
@@ -229,7 +229,7 @@ func TestServerDifferentialShard(t *testing.T) {
 			k := core.NewKey(l1, l2, d)
 			want := expect(t, supportResponse{
 				L1: k.A, L2: k.B, Dist: k.D,
-				Support: ix.Support(l1, l2, d), // independent library path
+				Support: indexSupport(ix, l1, l2, d), // independent library path
 				Trees:   len(trees),
 			})
 			q := url.Values{"l1": {l1}, "l2": {l2}, "dist": {d.String()}}
@@ -310,7 +310,7 @@ func TestServerDifferentialShardGeneric(t *testing.T) {
 	}
 	// The region under test must actually exist in the mined data.
 	deep := 0
-	for _, p := range ix.Frequent(1) {
+	for _, p := range indexFrequent(ix, 1) {
 		if p.Key.D > core.MaxPackedDist {
 			deep++
 		}
@@ -333,7 +333,7 @@ func TestServerDifferentialShardGeneric(t *testing.T) {
 			k := core.NewKey(l1, l2, d)
 			want := expect(t, supportResponse{
 				L1: k.A, L2: k.B, Dist: k.D,
-				Support: ix.Support(l1, l2, d), // independent library path
+				Support: indexSupport(ix, l1, l2, d), // independent library path
 				Trees:   len(trees),
 			})
 			q := url.Values{"l1": {l1}, "l2": {l2}, "dist": {d.String()}}
@@ -387,7 +387,7 @@ func TestServerDifferentialShardIgnoreDist(t *testing.T) {
 		k := core.NewKey(l1, l2, core.DistWild)
 		want := expect(t, supportResponse{
 			L1: k.A, L2: k.B, Dist: core.DistWild,
-			Support: ix.Support(l1, l2, core.DistWild),
+			Support: indexSupport(ix, l1, l2, core.DistWild),
 			Trees:   len(trees),
 		})
 		q := url.Values{"l1": {l1}, "l2": {l2}}

@@ -1,144 +1,207 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
-	"regexp"
 	"testing"
 
 	"treemine/internal/core"
 	"treemine/internal/store"
 )
 
-// The mapped differential harness: a server over a compacted v4 file
-// must be byte-for-byte indistinguishable from a server over the
-// decoded source it was compacted from, on every /v1/* endpoint. Both
-// servers are driven in lockstep with the identical request sequence,
-// so even the cache counters in /v1/stats must evolve identically —
-// the compaction changes the storage layout, never the observable
-// service.
+// The mapped differential harness: a server over a v4 file on disk,
+// memory-mapped the way the daemon opens it, must answer every /v1/*
+// endpoint byte-for-byte as the library answers on the source the file
+// was compacted from — SupportShard.Finalize for a shard, the item-set
+// oracles (oracle_test.go) and core.TDistItems/SimItems for an index.
+// Each query runs twice, so the cache-miss and cache-hit paths are both
+// compared, and the stats body carries the live cache counters.
 
-// backendField and capabilityField normalize the legitimate
-// differences between the two servers: the stats backend
-// discriminator and the capability flags. A mapped backend really
-// does answer fewer query shapes than the index it was compacted
-// from — the 501 checks at the end of each test pin that — so the
-// stats advertisement is allowed to differ too.
-var (
-	backendField    = regexp.MustCompile(`"backend":"(index|shard|mapped)"`)
-	capabilityField = regexp.MustCompile(`"supports_(tdist|concrete_dist|wildcard)":(true|false)`)
-)
-
-func normalizeBackend(body string) string {
-	body = backendField.ReplaceAllString(body, `"backend":"_"`)
-	return capabilityField.ReplaceAllString(body, `"supports_$1":"_"`)
+// oracle holds the library's answers for one compacted source.
+type oracle struct {
+	// support answers a support probe; ok false means the file cannot
+	// answer that distance form (501).
+	support func(l1, l2 string, d core.Dist) (n int, ok bool)
+	// frequent is the full listing at minsup, in the shared order.
+	frequent func(minSup int) []core.FrequentPair
+	// tdist answers a tree-distance query with its status: 200, 404 for
+	// an unknown tree, 501 without per-tree item sets.
+	tdist func(t1, t2 string, v core.Variant) (td, sim float64, status int)
+	stats Stats // cache counters are added at request time
 }
 
-// getLockstep fires the same query at the decoded and the mapped
-// server and requires equal statuses and equal bodies modulo the
-// backend discriminator. Each query runs twice, so the cache-miss and
-// cache-hit paths are both compared.
-func getLockstep(t *testing.T, decoded, mapped *httptest.Server, path string) {
+// openMapped compacts a source to a v4 file with compact and serves it
+// through OpenPath, the daemon's route.
+func openMapped(t *testing.T, compact func(path string) error) (*Server, *httptest.Server) {
 	t.Helper()
-	for _, pass := range []string{"miss", "hit"} {
-		ds, db := get(t, decoded, path)
-		ms, mb := get(t, mapped, path)
-		if ds != ms {
-			t.Fatalf("%s (%s pass): decoded status %d, mapped status %d", path, pass, ds, ms)
-		}
-		if normalizeBackend(db) != normalizeBackend(mb) {
-			t.Fatalf("%s (%s pass): mapped backend diverged\n--- decoded ---\n%s--- mapped ---\n%s",
-				path, pass, db, mb)
-		}
-	}
-}
-
-// mappedPairFromShard compacts sh to a v4 file and opens both backends:
-// the decoded shard (via the v3 bytes) and the mapped file (via
-// OpenPath, the daemon's route).
-func mappedPairFromShard(t *testing.T, sh *core.SupportShard) (decoded, mapped *httptest.Server) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := store.SaveShard(&buf, sh); err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "idx.v4")
-	if err := store.CompactShardV4(path, sh); err != nil {
+	if err := compact(path); err != nil {
 		t.Fatal(err)
 	}
-	mb, err := OpenPath(path)
+	b, err := OpenPath(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { mb.Close() })
-	if mb.Kind() != "mapped" {
-		t.Fatalf("OpenPath(v4) kind = %q, want mapped", mb.Kind())
+	t.Cleanup(func() { b.Close() })
+	if b.Kind() != "mapped" {
+		t.Fatalf("OpenPath(v4) kind = %q, want mapped", b.Kind())
 	}
-	// Large enough that nothing evicts: the two backends pack different
-	// symbol IDs into cache keys (intern order vs sorted rank), so LRU
-	// shard placement — and therefore eviction timing — is allowed to
-	// differ. With evictions out of the picture, the hit/miss/entry
-	// counters in /v1/stats must agree exactly.
-	cfg := Config{CacheEntries: 1 << 14}
-	_, dts := newTestServer(t, db, cfg)
-	_, mts := newTestServer(t, mb, cfg)
-	return dts, mts
+	return newTestServer(t, b, Config{CacheEntries: 256})
 }
 
-// shardQueryMix drives a randomized endpoint mix through both servers
-// in lockstep. Every query class a shard-shaped backend can see is
-// covered: concrete and wildcard support (valid or 501 depending on
-// ignoreDist, identical on both), unknown labels, distances past
-// MaxDist and past MaxPackedDist, frequent listings with limits and
-// maxdist filters, stats with live cache counters, and tdist (501 on
-// both — aggregates have no per-tree item sets).
-func shardQueryMix(t *testing.T, seed int64, labels []string, maxDist core.Dist, decoded, mapped *httptest.Server) {
+// shardOracle answers from the shard's own Finalize.
+func shardOracle(sh *core.SupportShard) oracle {
+	opts, trees, labels, _ := sh.Snapshot()
+	counts := map[core.Key]int{}
+	for _, p := range sh.Finalize(1) {
+		counts[p.Key] = p.Support
+	}
+	return oracle{
+		support: func(l1, l2 string, d core.Dist) (int, bool) {
+			if d.IsWild() != opts.IgnoreDist {
+				return 0, false
+			}
+			return counts[core.NewKey(l1, l2, d)], true
+		},
+		frequent: sh.Finalize,
+		tdist: func(string, string, core.Variant) (float64, float64, int) {
+			return 0, 0, 501
+		},
+		stats: Stats{
+			Backend: "mapped", Trees: trees, Labels: len(labels), Pairs: len(counts),
+			MaxDist: opts.MaxDist, MinOccur: opts.MinOccur, IgnoreDist: opts.IgnoreDist,
+			SupportsConcreteDist: !opts.IgnoreDist, SupportsWildcard: opts.IgnoreDist,
+		},
+	}
+}
+
+// indexOracle answers from the index's per-tree item sets.
+func indexOracle(ix *store.Index) oracle {
+	sets := indexSets(ix)
+	byName := map[string]int{}
+	labels := map[string]bool{}
+	items := 0
+	for i, e := range ix.Entries {
+		if _, dup := byName[e.Name]; !dup {
+			byName[e.Name] = i
+		}
+		items += len(e.Items)
+		for k := range e.Items {
+			labels[k.A], labels[k.B] = true, true
+		}
+	}
+	return oracle{
+		support: func(l1, l2 string, d core.Dist) (int, bool) {
+			return indexSupport(ix, l1, l2, d), true
+		},
+		frequent: func(minSup int) []core.FrequentPair { return indexFrequent(ix, minSup) },
+		tdist: func(t1, t2 string, v core.Variant) (float64, float64, int) {
+			i, ok1 := byName[t1]
+			j, ok2 := byName[t2]
+			if !ok1 || !ok2 {
+				return 0, 0, 404
+			}
+			return core.TDistItems(sets[i], sets[j], v), core.SimItems(sets[i], sets[j]), 200
+		},
+		stats: Stats{
+			Backend: "mapped", Trees: ix.NumTrees(), Labels: len(labels),
+			Pairs: len(indexFrequent(ix, 1)), Items: items,
+			MaxDist: ix.Options.MaxDist, MinOccur: ix.Options.MinOccur,
+			SupportsTDist: true, SupportsConcreteDist: true, SupportsWildcard: true,
+		},
+	}
+}
+
+// mappedQueryMix drives a randomized endpoint mix through the server
+// and holds every answer to the oracle: concrete support across and
+// past the mined range (past MaxPackedDist too), wildcard support,
+// unknown labels, frequent listings with limits and maxdist filters,
+// stats with live cache counters, and tdist in all four variants,
+// sometimes naming an unknown tree.
+func mappedQueryMix(t *testing.T, seed int64, names []string, maxDist core.Dist, s *Server, ts *httptest.Server, o oracle) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	labels := diffLabels()
 	randLabel := func() string {
 		if rng.Intn(8) == 0 {
 			return fmt.Sprintf("unknown-%d", rng.Intn(4))
 		}
 		return labels[rng.Intn(len(labels))]
 	}
-	for i := 0; i < 250; i++ {
-		switch rng.Intn(5) {
-		case 0, 1: // support: concrete distances across and past the mined range
-			q := url.Values{"l1": {randLabel()}, "l2": {randLabel()}}
+	variants := []core.Variant{core.VariantLabel, core.VariantDist, core.VariantOccur, core.VariantDistOccur}
+	params := map[core.Variant]string{
+		core.VariantLabel: "label", core.VariantDist: "dist",
+		core.VariantOccur: "occ", core.VariantDistOccur: "distocc",
+	}
+	for i := 0; i < 300; i++ {
+		switch rng.Intn(6) {
+		case 0, 1: // support: concrete or wildcard
+			l1, l2 := randLabel(), randLabel()
 			d := core.Dist(rng.Intn(int(maxDist) + 8))
-			q.Set("dist", d.String())
-			getLockstep(t, decoded, mapped, "/v1/support?"+q.Encode())
-		case 2: // support: wildcard (both answer, or both 501)
-			q := url.Values{"l1": {randLabel()}, "l2": {randLabel()}, "dist": {"*"}}
-			getLockstep(t, decoded, mapped, "/v1/support?"+q.Encode())
-		case 3: // frequent: minsup sweep with filters and limits
-			q := url.Values{"minsup": {fmt.Sprint(1 + rng.Intn(6))}}
+			if rng.Intn(4) == 0 {
+				d = core.DistWild
+			}
+			q := url.Values{"l1": {l1}, "l2": {l2}, "dist": {d.String()}}
+			n, ok := o.support(l1, l2, d)
+			if !ok {
+				getTwice(t, ts, "/v1/support?"+q.Encode(), 501, "")
+				continue
+			}
+			k := core.NewKey(l1, l2, d)
+			getTwice(t, ts, "/v1/support?"+q.Encode(), 200, expect(t, supportResponse{
+				L1: k.A, L2: k.B, Dist: k.D, Support: n, Trees: o.stats.Trees,
+			}))
+		case 2: // frequent: minsup sweep with filters and limits
+			minsup, maxd, limit := 1+rng.Intn(6), core.DistWild, 0
+			q := url.Values{"minsup": {fmt.Sprint(minsup)}}
 			if rng.Intn(2) == 0 {
-				q.Set("maxdist", core.Dist(rng.Intn(int(maxDist)+2)).String())
+				maxd = core.Dist(rng.Intn(int(maxDist) + 2))
+				q.Set("maxdist", maxd.String())
 			}
 			if rng.Intn(2) == 0 {
-				q.Set("limit", fmt.Sprint(1+rng.Intn(20)))
+				limit = 1 + rng.Intn(20)
+				q.Set("limit", fmt.Sprint(limit))
 			}
-			getLockstep(t, decoded, mapped, "/v1/frequent?"+q.Encode())
-		case 4: // stats (cache counters included) and tdist (501 on both)
-			getLockstep(t, decoded, mapped, "/v1/stats")
-			getLockstep(t, decoded, mapped, "/v1/tdist?t1=a&t2=b")
+			resp := frequentResponse{MinSup: minsup, MaxDist: maxd, Trees: o.stats.Trees, Pairs: []pairJSON{}}
+			for _, p := range o.frequent(minsup) {
+				if !maxd.IsWild() && !p.Key.D.IsWild() && p.Key.D > maxd {
+					continue
+				}
+				resp.Count++
+				if limit == 0 || len(resp.Pairs) < limit {
+					resp.Pairs = append(resp.Pairs, pairJSON{L1: p.Key.A, L2: p.Key.B, Dist: p.Key.D, Support: p.Support})
+				}
+			}
+			getTwice(t, ts, "/v1/frequent?"+q.Encode(), 200, expect(t, resp))
+		case 3, 4: // tdist, every variant
+			t1, t2 := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
+			if rng.Intn(8) == 0 {
+				t2 = "no-such-tree"
+			}
+			v := variants[rng.Intn(len(variants))]
+			q := url.Values{"t1": {t1}, "t2": {t2}, "variant": {params[v]}}
+			td, sim, status := o.tdist(t1, t2, v)
+			want := ""
+			if status == 200 {
+				want = expect(t, tdistResponse{T1: t1, T2: t2, Variant: v.String(), TDist: td, Sim: sim})
+			}
+			getTwice(t, ts, "/v1/tdist?"+q.Encode(), status, want)
+		case 5: // stats, cache counters included
+			getTwice(t, ts, "/v1/stats", 200, expect(t, statsResponse{Stats: o.stats, Cache: s.CacheStats()}))
 		}
+	}
+	if st := s.CacheStats(); st.Hits == 0 {
+		t.Error("mapped mix never hit the cache")
 	}
 }
 
 // TestMappedDifferentialShard: packed-mode shard (MaxDist within
-// MaxPackedDist) vs its v4 compaction.
+// MaxPackedDist) compacted to v4.
 func TestMappedDifferentialShard(t *testing.T) {
-	trees, _ := diffForest(t, 41, 20)
+	trees, names := diffForest(t, 41, 20)
 	maxD := core.D(3)
 	sh := core.NewSupportShard(core.ForestOptions{
 		Options: core.Options{MaxDist: maxD, MinOccur: 1}, MinSup: 2,
@@ -146,41 +209,33 @@ func TestMappedDifferentialShard(t *testing.T) {
 	for _, tr := range trees {
 		sh.AddTree(tr)
 	}
-	decoded, mapped := mappedPairFromShard(t, sh)
-	shardQueryMix(t, 42, diffLabels(), maxD, decoded, mapped)
+	s, ts := openMapped(t, func(path string) error { return store.CompactShardV4(path, sh) })
+	mappedQueryMix(t, 42, names, maxD, s, ts, shardOracle(sh))
 }
 
 // TestMappedDifferentialShardGeneric: a shard mined past MaxPackedDist
 // compacts into the string-keyed v4 section; its probes — including
 // distances past 7 and past the shard's own MaxDist — must agree with
-// the decoded generic shard everywhere.
+// the shard everywhere.
 func TestMappedDifferentialShardGeneric(t *testing.T) {
 	trees := deepChainForest(t, 43, 14)
 	maxD := core.MaxPackedDist + 8
 	sh := core.NewSupportShard(core.ForestOptions{
 		Options: core.Options{MaxDist: maxD, MinOccur: 1}, MinSup: 2,
 	})
-	deep := 0
 	for _, tr := range trees {
 		sh.AddTree(tr)
 	}
-	for _, p := range sh.Finalize(1) {
-		if p.Key.D > core.MaxPackedDist {
-			deep++
-		}
-	}
-	if deep == 0 {
-		t.Fatal("fixture mined no items past MaxPackedDist; the generic section is untested")
-	}
-	decoded, mapped := mappedPairFromShard(t, sh)
-	shardQueryMix(t, 44, diffLabels(), maxD, decoded, mapped)
+	requireDeep(t, sh.Finalize(1))
+	s, ts := openMapped(t, func(path string) error { return store.CompactShardV4(path, sh) })
+	mappedQueryMix(t, 44, []string{"T00", "T01"}, maxD, s, ts, shardOracle(sh))
 }
 
 // TestMappedDifferentialShardIgnoreDist: distance-insensitive mining
 // keys every pair at DistWild; wildcard probes answer and concrete ones
-// 501 — identically on both sides.
+// 501.
 func TestMappedDifferentialShardIgnoreDist(t *testing.T) {
-	trees, _ := diffForest(t, 45, 18)
+	trees, names := diffForest(t, 45, 18)
 	maxD := core.D(4)
 	sh := core.NewSupportShard(core.ForestOptions{
 		Options: core.Options{MaxDist: maxD, MinOccur: 1}, MinSup: 2, IgnoreDist: true,
@@ -188,73 +243,48 @@ func TestMappedDifferentialShardIgnoreDist(t *testing.T) {
 	for _, tr := range trees {
 		sh.AddTree(tr)
 	}
-	decoded, mapped := mappedPairFromShard(t, sh)
-	shardQueryMix(t, 46, diffLabels(), maxD, decoded, mapped)
+	s, ts := openMapped(t, func(path string) error { return store.CompactShardV4(path, sh) })
+	mappedQueryMix(t, 46, names, maxD, s, ts, shardOracle(sh))
 }
 
-// TestMappedDifferentialIndex: a v1/v2 index vs its v4 compaction on
-// the queries whose semantics survive compaction — concrete-distance
-// support, frequent listings, stats. Wildcard support and tree distance
-// need the per-tree item sets the aggregate no longer has, so on the
-// mapped side they must answer clean 501s (asserted after the lockstep
-// run: error handling differs in cache effects, so comparing stats
-// afterwards would diverge).
+// TestMappedDifferentialIndex: a v1/v2 index compacted to v4 keeps its
+// per-tree item sets, so the mapped file answers every query the index
+// does — wildcard support and tree distance included — in both keying
+// modes.
 func TestMappedDifferentialIndex(t *testing.T) {
-	trees, names := diffForest(t, 47, 22)
-	opts := core.Options{MaxDist: core.D(4), MinOccur: 1}
-	ix, err := store.Build(trees, names, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := openBackend(t, ix)
-	path := filepath.Join(t.TempDir(), "idx.v4")
-	if err := store.CompactIndexV4(path, ix); err != nil {
-		t.Fatal(err)
-	}
-	mb, err := OpenPath(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mb.Close() })
-	cfg := Config{CacheEntries: 1 << 14} // evictions off: see mappedPairFromShard
-	_, decoded := newTestServer(t, db, cfg)
-	_, mapped := newTestServer(t, mb, cfg)
-
-	labels := diffLabels()
-	rng := rand.New(rand.NewSource(48))
-	randLabel := func() string {
-		if rng.Intn(8) == 0 {
-			return fmt.Sprintf("unknown-%d", rng.Intn(4))
+	t.Run("packed", func(t *testing.T) {
+		trees, names := diffForest(t, 47, 22)
+		ix, err := store.Build(trees, names, core.Options{MaxDist: core.D(4), MinOccur: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return labels[rng.Intn(len(labels))]
-	}
-	for i := 0; i < 250; i++ {
-		switch rng.Intn(4) {
-		case 0, 1:
-			q := url.Values{"l1": {randLabel()}, "l2": {randLabel()}}
-			q.Set("dist", core.Dist(rng.Intn(int(opts.MaxDist)+6)).String())
-			getLockstep(t, decoded, mapped, "/v1/support?"+q.Encode())
-		case 2:
-			q := url.Values{"minsup": {fmt.Sprint(1 + rng.Intn(5))}}
-			if rng.Intn(2) == 0 {
-				q.Set("limit", fmt.Sprint(1+rng.Intn(15)))
-			}
-			getLockstep(t, decoded, mapped, "/v1/frequent?"+q.Encode())
-		case 3:
-			getLockstep(t, decoded, mapped, "/v1/stats")
+		s, ts := openMapped(t, func(path string) error { return store.CompactIndexV4(path, ix) })
+		mappedQueryMix(t, 48, names, ix.Options.MaxDist, s, ts, indexOracle(ix))
+	})
+	t.Run("generic", func(t *testing.T) {
+		trees := deepChainForest(t, 49, 16)
+		ix, err := store.Build(trees, nil, core.Options{MaxDist: core.MaxPackedDist + 8, MinOccur: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireDeep(t, indexFrequent(ix, 1))
+		names := make([]string, len(ix.Entries))
+		for i, e := range ix.Entries {
+			names[i] = e.Name
+		}
+		s, ts := openMapped(t, func(path string) error { return store.CompactIndexV4(path, ix) })
+		mappedQueryMix(t, 50, names, ix.Options.MaxDist, s, ts, indexOracle(ix))
+	})
+}
+
+// requireDeep fails unless the fixture mined items past MaxPackedDist,
+// the region the generic section exists for.
+func requireDeep(t *testing.T, pairs []core.FrequentPair) {
+	t.Helper()
+	for _, p := range pairs {
+		if p.Key.D > core.MaxPackedDist {
+			return
 		}
 	}
-
-	// Outside the aggregate's semantics: the mapped side must 501, never
-	// answer wrong numbers.
-	if st, _ := get(t, mapped, "/v1/support?l1=a&l2=b&dist=*"); st != 501 {
-		t.Fatalf("mapped wildcard support status = %d, want 501", st)
-	}
-	if st, _ := get(t, mapped, "/v1/tdist?t1="+url.QueryEscape(names[0])+"&t2="+url.QueryEscape(names[1])); st != 501 {
-		t.Fatalf("mapped tdist status = %d, want 501", st)
-	}
-	// The decoded index still answers both.
-	if st, _ := get(t, decoded, "/v1/tdist?t1="+url.QueryEscape(names[0])+"&t2="+url.QueryEscape(names[1])); st != 200 {
-		t.Fatalf("decoded tdist status = %d, want 200", st)
-	}
+	t.Fatal("fixture mined no items past MaxPackedDist; the generic section is untested")
 }

@@ -159,23 +159,31 @@ func TestServeRaceCacheEvict(t *testing.T) {
 
 // TestServeRaceDrainInFlight proves the graceful-drain contract on a
 // real http.Server: requests stalled in a handler (the slow failpoint)
-// are completed — bounded by the request deadline, answered with a
-// clean 503 — while Shutdown waits, and no goroutine survives the
-// drain.
+// are completed — answered with a clean 503 once released — while
+// Shutdown waits, and no goroutine survives the drain. The order is
+// driven by events, not timers: the request deadline is off, so the
+// stalled handlers wait on a base context the test owns, and the test
+// cancels it only after it has seen all three in flight and Shutdown
+// has signalled, through RegisterOnShutdown, that the drain began.
+// (Deadline-bounded stalls are TestChaosFaultInjectedSlowDeadline's.)
 func TestServeRaceDrainInFlight(t *testing.T) {
 	defer faults.Reset()
 	base := runtime.NumGoroutine()
 
-	s := New(openBackend(t, fixtureIndex(t)), Config{CacheEntries: 64, RequestTimeout: 300 * time.Millisecond})
+	s := New(openBackend(t, fixtureIndex(t)), Config{CacheEntries: 64, RequestTimeout: -1})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	baseCtx, release := context.WithCancel(context.Background())
+	defer release()
+	srv := &http.Server{Handler: s.Handler(), BaseContext: func(net.Listener) context.Context { return baseCtx }}
+	draining := make(chan struct{})
+	srv.RegisterOnShutdown(func() { close(draining) })
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	url := "http://" + ln.Addr().String()
-	client := &http.Client{Timeout: 5 * time.Second}
+	client := &http.Client{}
 
 	// A few normal requests first: the server works, connections warm.
 	for _, p := range []string{"/v1/stats", "/v1/support?l1=Gnetum&l2=Welwitschia"} {
@@ -190,7 +198,7 @@ func TestServeRaceDrainInFlight(t *testing.T) {
 		}
 	}
 
-	// Stall the next 3 requests in-handler until their deadlines.
+	// Stall the next 3 requests in-handler until the test releases them.
 	const stalled = 3
 	faults.Enable(faults.ServeSlow, faults.Spec{Mode: faults.ModeError, Count: stalled})
 	type result struct {
@@ -212,17 +220,16 @@ func TestServeRaceDrainInFlight(t *testing.T) {
 		}()
 	}
 
-	// Wait until all three are inside handlers, then drain.
-	deadline := time.Now().Add(2 * time.Second)
+	// Nothing releases a stalled handler yet, so waiting for all three
+	// cannot race anything.
 	for s.InFlight() < stalled {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d requests in flight", s.InFlight())
-		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
-	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
+	shutdownErr := make(chan error, 1)
+	go func() { shutdownErr <- srv.Shutdown(context.Background()) }()
+	<-draining
+	release()
+	if err := <-shutdownErr; err != nil {
 		t.Fatalf("graceful drain failed: %v", err)
 	}
 	if err := <-serveErr; err != http.ErrServerClosed {
@@ -230,7 +237,7 @@ func TestServeRaceDrainInFlight(t *testing.T) {
 	}
 
 	// Every stalled request completed during the drain, with a clean
-	// deadline 503 — not a dropped connection.
+	// 503 — not a dropped connection.
 	for i := 0; i < stalled; i++ {
 		r := <-results
 		if r.err != nil {

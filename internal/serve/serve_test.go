@@ -143,23 +143,24 @@ func TestSupportCanonicalEcho(t *testing.T) {
 	}
 }
 
-// TestBackendReadOnly: queries — including ones naming labels the index
-// never saw — must not grow the symbol table (the read-only invariant
-// that makes lock-free concurrent serving sound).
+// TestBackendReadOnly: queries — including ones naming labels or trees
+// the index never saw — must leave the backend exactly as loaded (the
+// read-only invariant that makes lock-free concurrent serving sound).
 func TestBackendReadOnly(t *testing.T) {
 	b := openBackend(t, fixtureIndex(t))
 	_, ts := newTestServer(t, b, Config{})
-	before := b.syms.Len()
+	before := b.Stats()
 	for _, q := range []string{
 		"/v1/support?l1=NotATaxon&l2=AlsoNot&dist=1",
 		"/v1/support?l1=NotATaxon&l2=Gnetum",
 		"/v1/tdist?t1=tree_1&t2=no_such_tree",
+		"/v1/tdist?t1=tree_1&t2=tree_2",
 		"/v1/frequent?minsup=1",
 	} {
 		get(t, ts, q)
 	}
-	if after := b.syms.Len(); after != before {
-		t.Errorf("symbol table grew from %d to %d during queries", before, after)
+	if after := b.Stats(); after != before {
+		t.Errorf("backend changed during queries: %+v, was %+v", after, before)
 	}
 }
 

@@ -66,6 +66,12 @@ func FuzzStoreRead(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 
+	// Index-derived v4 images, which carry the per-tree section, plus
+	// near-misses that trip its validation.
+	for _, seed := range indexV4Seeds(f, ix) {
+		f.Add(seed)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if ix, err := Load(bytes.NewReader(data)); err == nil && ix == nil {
 			t.Fatal("Load returned nil index without error")
@@ -93,6 +99,18 @@ func FuzzStoreRead(f *testing.F) {
 					t.Fatalf("symbol %d not found by its own label", i)
 				}
 			}
+			// Every tree resolvable by its name, its items materializable,
+			// and its item records findable through Records/TreeOccur.
+			for tr := 0; m.HasTrees() && tr < m.Trees(); tr++ {
+				if got, ok := m.TreeByName(m.TreeName(tr)); !ok || m.TreeName(got) != m.TreeName(tr) {
+					t.Fatalf("tree %d not found by its own name", tr)
+				}
+				for k, n := range m.TreeItems(tr) {
+					if lo, hi := m.Records(k.A, k.B, k.D); m.TreeOccur(tr, lo, hi) != n {
+						t.Fatalf("tree %d: item %v × %d unreachable", tr, k, n)
+					}
+				}
+			}
 		}
 	})
 }
@@ -102,7 +120,8 @@ func FuzzStoreRead(f *testing.F) {
 // TREEMINE_WRITE_FUZZ_SEEDS=1 — run it after changing the v4 layout so
 // the corpus keeps exercising the deep validation paths: a genuine
 // image, a truncated header, a flipped payload byte (checksum
-// mismatch), unsorted postings, and an out-of-bounds string offset.
+// mismatch), unsorted postings, an out-of-bounds string offset, and an
+// index-derived image with and without a broken per-tree section.
 func TestRegenerateV4FuzzCorpus(t *testing.T) {
 	if os.Getenv("TREEMINE_WRITE_FUZZ_SEEDS") == "" {
 		t.Skip("set TREEMINE_WRITE_FUZZ_SEEDS=1 to rewrite the corpus")
@@ -132,19 +151,51 @@ func TestRegenerateV4FuzzCorpus(t *testing.T) {
 	flipped := bytes.Clone(v4)
 	flipped[len(flipped)/2] ^= 0x40
 
+	ix, err := Build(shardForest(11, 3, 20), nil, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromIndex := indexV4Seeds(t, ix)
+
 	dir := filepath.Join("testdata", "fuzz", "FuzzStoreRead")
 	for name, data := range map[string][]byte{
-		"seed-v4-genuine":         v4,
-		"seed-v4-short-header":    v4[:v4HeaderLen-2],
-		"seed-v4-payload-bitflip": flipped,
-		"seed-v4-unsorted-posts":  unsorted,
-		"seed-v4-string-oob":      badOffset,
+		"seed-v4-genuine":              v4,
+		"seed-v4-short-header":         v4[:v4HeaderLen-2],
+		"seed-v4-payload-bitflip":      flipped,
+		"seed-v4-unsorted-posts":       unsorted,
+		"seed-v4-string-oob":           badOffset,
+		"seed-v4-index-genuine":        fromIndex[0],
+		"seed-v4-index-record-oob":     fromIndex[1],
+		"seed-v4-index-unsorted-names": fromIndex[2],
 	} {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// indexV4Seeds returns an index-derived v4 image — one with the per-tree
+// section — followed by near-misses: a tree item naming a record past
+// the section, and a name order out of sort.
+func indexV4Seeds(tb testing.TB, ix *Index) [][]byte {
+	img, err := imageFromIndex(ix)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v4 := img.appendV4()
+	le := binary.LittleEndian
+
+	badRecord := bytes.Clone(v4)
+	le.PutUint32(badRecord[le.Uint64(badRecord[v4TreeItemsOff:]):], uint32(le.Uint64(badRecord[v4HdrPostCount:])))
+	fixCRCs(badRecord)
+
+	unsortedNames := bytes.Clone(v4)
+	order := le.Uint64(unsortedNames[v4TreeOrderOff:])
+	copy(unsortedNames[order:order+4], v4[order+4:order+8])
+	copy(unsortedNames[order+4:order+8], v4[order:order+4])
+	fixCRCs(unsortedNames)
+	return [][]byte{v4, badRecord, unsortedNames}
 }
 
 // fixCRCs recomputes both checksums in place so a seed trips a targeted

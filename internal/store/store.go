@@ -3,10 +3,9 @@
 // database-systems complement to the paper's algorithms (mining 1,500
 // TreeBASE phylogenies takes sub-second here, but the paper's original
 // K implementation took minutes, and either way re-mining on every
-// support query is waste). An Index holds each tree's item set plus the
-// aggregate support table, serializes with encoding/gob behind a
-// versioned magic header, and answers support/frequent/containment
-// queries without touching the source trees.
+// support query is waste). An Index holds each tree's item set,
+// serializes with encoding/gob behind a versioned magic header, and
+// compacts into the v4 layout every query is answered from (v4.go).
 package store
 
 import (
@@ -47,9 +46,9 @@ type TreeEntry struct {
 	Items core.ItemSet
 }
 
-// Index is a queryable collection of per-tree item sets. Build one with
-// Build, persist with Save, and reload with Load. Once built or loaded,
-// an Index is safe for concurrent queries.
+// Index is a collection of per-tree item sets. Build one with Build,
+// persist with Save, reload with Load, and query it by compacting it to
+// v4 (CompactIndexV4, OpenMappedReader).
 type Index struct {
 	// Options are the mining parameters the index was built with;
 	// queries are only meaningful at these parameters.
@@ -58,9 +57,6 @@ type Index struct {
 
 	supportOnce sync.Once
 	support     map[core.Key]int // lazily built aggregate
-
-	setsOnce sync.Once
-	sets     []core.ItemSet // per-entry item sets, for SupportOf probes
 }
 
 // Build mines every tree and assembles the index. names may be nil (trees
@@ -99,54 +95,6 @@ func (ix *Index) supportTable() map[core.Key]int {
 		}
 	})
 	return ix.support
-}
-
-// ItemSets returns the per-tree item sets in index order (built once,
-// concurrency-safe). Pass the result to core.SupportOf to probe many
-// pairs without re-walking the entries.
-func (ix *Index) ItemSets() []core.ItemSet {
-	ix.setsOnce.Do(func() {
-		ix.sets = make([]core.ItemSet, len(ix.Entries))
-		for i, e := range ix.Entries {
-			ix.sets[i] = e.Items
-		}
-	})
-	return ix.sets
-}
-
-// Support returns the number of indexed trees containing the label pair
-// at distance d; DistWild counts trees containing the pair at any
-// distance.
-func (ix *Index) Support(l1, l2 string, d core.Dist) int {
-	if !d.IsWild() {
-		return ix.supportTable()[core.NewKey(l1, l2, d)]
-	}
-	return core.SupportOf(ix.ItemSets(), l1, l2, d)
-}
-
-// Frequent returns the pairs with support ≥ minSup, sorted like
-// core.MineForest's output.
-func (ix *Index) Frequent(minSup int) []core.FrequentPair {
-	var out []core.FrequentPair
-	for k, s := range ix.supportTable() {
-		if s >= minSup {
-			out = append(out, core.FrequentPair{Key: k, Support: s})
-		}
-	}
-	core.SortFrequentPairs(out)
-	return out
-}
-
-// TreesWith returns the indices of the trees containing the key, in
-// index order.
-func (ix *Index) TreesWith(k core.Key) []int {
-	var out []int
-	for i, e := range ix.Entries {
-		if _, ok := e.Items[k]; ok {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // savedIndexV1 is the version-1 gob payload: per-tree string-keyed item

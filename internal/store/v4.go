@@ -26,16 +26,32 @@ package store
 // with core.CompareKeys order — the base record order doubles as the
 // tie-break order, so the permutation is just a stable support sort.
 //
+// A file compacted from a v1/v2 index also keeps the per-tree item sets
+// the paper's tree distance (Eq. 6) and similarity (Eq. 4) need, and
+// that wildcard support counts: flag bit 2 marks an optional per-tree
+// section whose fixed-width descriptor sits right after the header.
+// Each tree stores its name, its node count, and its items as
+// (record index, occur) pairs sorted by record, where the record index
+// points into the record section; a name-sorted permutation of the
+// trees serves lookup by name. Files without the bit — every file
+// compacted from a shard — carry no descriptor and are laid out exactly
+// as before the section existed.
+//
 // Layout (all integers little-endian, sections 8-byte aligned):
 //
 //	offset 0    magic "TREEMINEIDX4" (12 bytes)
 //	offset 12   fixed-width header (see v4Hdr* constants)
+//	offset 164  per-tree descriptor (see v4Tree* constants; bit 2 only)
 //	            symbol offset index: (symCount+1) × u64, relative to symData
 //	            symbol string data (labels concatenated, sorted ascending)
 //	            packed postings: postCount × (IKey u64, count i64)
 //	            generic offset index: (genCount+1) × u64, relative to genData
 //	            generic records: lenA u32, lenB u32, dist i64, count i64, A, B
 //	            permutation: recCount × u32, support-descending stable order
+//	            tree index: (trees+1) × (nameOff u64, itemOff u64, nodes u64)
+//	            tree names (concatenated, index order)
+//	            tree items: items × (record u32, occur u32)
+//	            tree name order: trees × u32, sorted by (name, tree)
 //
 // The header stores a CRC32-C of itself and of the whole payload;
 // OpenMapped verifies both plus every structural invariant binary
@@ -53,6 +69,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 	"sort"
 
 	"treemine/internal/core"
@@ -87,9 +104,22 @@ const (
 
 	v4FlagIgnoreDist = 1 << 0
 	v4FlagGeneric    = 1 << 1
+	v4FlagTrees      = 1 << 2
+
+	// The per-tree descriptor (present with v4FlagTrees), covered by the
+	// payload CRC: the four section offsets in section order, then the
+	// name data length. The tree and item counts are the header's.
+	v4TreeIdxOff   = v4HeaderLen      // u64: tree index
+	v4TreeNameOff  = v4HeaderLen + 8  // u64: tree name data
+	v4TreeItemsOff = v4HeaderLen + 16 // u64: (record, occur) pairs
+	v4TreeOrderOff = v4HeaderLen + 24 // u64: name-sorted tree permutation
+	v4TreeNameLen  = v4HeaderLen + 32 // u64
+	v4TreeDescLen  = 40
 
 	v4PostRecLen    = 16 // packed posting: IKey u64 + count i64
 	v4GenPreludeLen = 24 // generic record prelude: lenA u32, lenB u32, d i64, n i64
+	v4TreeRecLen    = 24 // tree index entry: nameOff u64, itemOff u64, nodes u64
+	v4TreeItemLen   = 8  // tree item: record u32, occur u32
 )
 
 var v4CRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -106,6 +136,10 @@ type v4image struct {
 	post   []v4Posting // packed section (MaxDist ≤ MaxPackedDist)
 	gen    []v4GenRec  // generic section (past MaxPackedDist)
 	perm   []uint32    // support-descending stable order over post or gen
+
+	// The per-tree sections of an index source, encoded in descriptor
+	// order (tree index, names, items, name order); nil for shards.
+	treeSecs [][]byte
 }
 
 type v4Posting struct {
@@ -305,9 +339,8 @@ func strictlySorted(labels []string) bool {
 }
 
 // imageFromIndex normalizes a v1/v2 per-tree index into a v4 image: the
-// aggregate support table becomes the record section. The per-tree item
-// sets themselves do not survive compaction — v4 is an aggregate format
-// — so tree-distance queries need the original index.
+// aggregate support table becomes the record section, and every tree's
+// item set becomes its (record, occur) list in the per-tree section.
 func imageFromIndex(ix *Index) (*v4image, error) {
 	img := &v4image{
 		opts:  core.ForestOptions{Options: ix.Options, MinSup: 1},
@@ -346,6 +379,55 @@ func imageFromIndex(ix *Index) (*v4image, error) {
 		}
 	}
 	img.sortAndPermute()
+
+	// Record indexes of the sorted section, for the per-tree lists.
+	recOf := make(map[core.Key]uint64, img.recCount())
+	for i := 0; i < img.recCount(); i++ {
+		if img.generic() {
+			r := &img.gen[i]
+			recOf[core.Key{A: r.a, B: r.b, D: r.d}] = uint64(i)
+		} else {
+			a, b := img.post[i].key.Syms()
+			recOf[core.Key{A: sorted[a], B: sorted[b], D: img.post[i].key.Dist()}] = uint64(i)
+		}
+	}
+	le := binary.LittleEndian
+	var idx, names, items []byte
+	var run []uint64 // one tree's items as record<<32 | occur
+	for _, e := range ix.Entries {
+		idx = le.AppendUint64(idx, uint64(len(names)))
+		idx = le.AppendUint64(idx, uint64(len(items)/v4TreeItemLen))
+		idx = le.AppendUint64(idx, uint64(e.Nodes))
+		names = append(names, e.Name...)
+		run = run[:0]
+		for k, n := range e.Items {
+			rec, ok := recOf[core.NewKey(k.A, k.B, k.D)]
+			if !ok || n < 1 || n > math.MaxUint32 {
+				return nil, fmt.Errorf("store: compact: tree %q: bad item %v × %d", e.Name, k, n)
+			}
+			run = append(run, rec<<32|uint64(n))
+		}
+		slices.Sort(run)
+		for _, r := range run {
+			items = le.AppendUint32(items, uint32(r>>32))
+			items = le.AppendUint32(items, uint32(r))
+		}
+	}
+	idx = le.AppendUint64(idx, uint64(len(names)))
+	idx = le.AppendUint64(idx, uint64(len(items)/v4TreeItemLen))
+	idx = le.AppendUint64(idx, 0)
+	// The name order: equal names keep tree order, so a lower-bound
+	// search by name finds a name's first tree.
+	order := make([]int, len(ix.Entries))
+	for t := range order {
+		order[t] = t
+	}
+	sort.SliceStable(order, func(i, j int) bool { return ix.Entries[order[i]].Name < ix.Entries[order[j]].Name })
+	byName := make([]byte, 0, 4*len(order))
+	for _, t := range order {
+		byName = le.AppendUint32(byName, uint32(t))
+	}
+	img.treeSecs = [][]byte{idx, names, items, byName}
 	return img, nil
 }
 
@@ -397,8 +479,13 @@ func (img *v4image) appendV4() []byte {
 		perm = binary.LittleEndian.AppendUint32(perm, p)
 	}
 
-	// Assemble: header placeholder, then the 8-aligned sections.
-	buf := make([]byte, v4HeaderLen, v4HeaderLen+len(symIdx)+len(symData)+len(post)+len(genIdx)+len(genData)+len(perm)+64)
+	// Assemble: header placeholder (plus the per-tree descriptor when the
+	// image has one), then the 8-aligned sections.
+	hdrLen := v4HeaderLen
+	if img.treeSecs != nil {
+		hdrLen += v4TreeDescLen
+	}
+	buf := make([]byte, hdrLen, hdrLen+len(symIdx)+len(symData)+len(post)+len(genIdx)+len(genData)+len(perm)+64)
 	place := func(section []byte) uint64 {
 		buf = align8(buf)
 		at := uint64(len(buf))
@@ -412,6 +499,7 @@ func (img *v4image) appendV4() []byte {
 	genDataOff := place(genData)
 	permOff := place(perm)
 
+	le := binary.LittleEndian
 	copy(buf, magicV4)
 	var flags uint64
 	if img.opts.IgnoreDist {
@@ -420,7 +508,14 @@ func (img *v4image) appendV4() []byte {
 	if img.generic() {
 		flags |= v4FlagGeneric
 	}
-	le := binary.LittleEndian
+	if img.treeSecs != nil {
+		flags |= v4FlagTrees
+		for i, sec := range img.treeSecs {
+			off := place(sec)
+			le.PutUint64(buf[v4TreeIdxOff+8*i:], off)
+		}
+		le.PutUint64(buf[v4TreeNameLen:], uint64(len(img.treeSecs[1])))
+	}
 	le.PutUint64(buf[v4HdrFlags:], flags)
 	le.PutUint64(buf[v4HdrMaxDist:], uint64(int64(img.opts.MaxDist)))
 	le.PutUint64(buf[v4HdrMinOccur:], uint64(int64(img.opts.MinOccur)))
@@ -445,15 +540,14 @@ func (img *v4image) appendV4() []byte {
 }
 
 // CompactIndexV4 compacts a loaded (or freshly built) v1/v2 index into
-// a v4 file at dst, written durably via AtomicWrite. Only the aggregate
-// support table survives — serve tree-distance queries from the
-// original index if you need them.
+// a v4 file at dst, written durably via AtomicWrite. The file keeps the
+// per-tree item sets, so it answers every query the index does.
 func CompactIndexV4(dst string, ix *Index) error {
 	img, err := imageFromIndex(ix)
 	if err != nil {
 		return err
 	}
-	return writeV4(dst, img)
+	return writeV4(dst, img.appendV4())
 }
 
 // CompactShardV4 compacts a support shard into a v4 file at dst,
@@ -464,56 +558,67 @@ func CompactShardV4(dst string, sh *core.SupportShard) error {
 	if err != nil {
 		return err
 	}
-	return writeV4(dst, img)
+	return writeV4(dst, img.appendV4())
 }
 
-func writeV4(dst string, img *v4image) error {
-	buf := img.appendV4()
+func writeV4(dst string, buf []byte) error {
 	return AtomicWrite(dst, func(w io.Writer) error {
 		_, err := w.Write(buf)
 		return err
 	})
 }
 
-// CompactV4 streams any store file — a v1/v2 index, a v3 shard
-// checkpoint, or an existing v4 file (validated and copied verbatim) —
-// into a v4 file at dst. The write goes through AtomicWrite, so a crash
-// or torn write at any point leaves dst's previous contents intact and
-// never touches the source. Postings are sorted on flat fixed-width
-// slices, so compaction memory is bounded by the distinct support
-// entries plus the label table, not by the source's tree count.
+// CompactV4 writes the v4 image of any store file (see
+// OpenMappedReader) to dst. The write goes through AtomicWrite, so a
+// crash or torn write at any point leaves dst's previous contents intact
+// and never touches the source.
 func CompactV4(dst string, src io.Reader) error {
+	m, err := OpenMappedReader(src)
+	if err != nil {
+		return err
+	}
+	return writeV4(dst, m.data)
+}
+
+// OpenMappedReader reads any store file — a v1/v2 index, a v3 shard
+// checkpoint, or a v4 file — and returns the validated v4 view over an
+// in-memory image: v4 bytes are taken as they are, any other format is
+// compacted first. Postings are sorted on flat fixed-width slices, so
+// compaction memory is bounded by the distinct support entries, the
+// label table and the source's own per-tree items.
+func OpenMappedReader(src io.Reader) (*Mapped, error) {
 	br := bufio.NewReader(src)
 	head, err := br.Peek(len(magicV4))
 	if err != nil {
-		return fmt.Errorf("%w: %w", ErrBadMagic, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadMagic, err)
 	}
+	var img *v4image
 	switch string(head) {
 	case magicV4:
 		raw, err := io.ReadAll(br)
 		if err != nil {
-			return fmt.Errorf("store: compact: %w", err)
+			return nil, fmt.Errorf("store: read v4: %w", err)
 		}
-		if _, err := OpenMappedBytes(raw); err != nil {
-			return err
-		}
-		return AtomicWrite(dst, func(w io.Writer) error {
-			_, err := w.Write(raw)
-			return err
-		})
+		return OpenMappedBytes(raw)
 	case magicV3:
 		sh, err := LoadShard(br)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return CompactShardV4(dst, sh)
+		opts, trees, labels, items := sh.Snapshot()
+		if img, err = imageFromSnapshot(opts, trees, labels, items); err != nil {
+			return nil, err
+		}
 	default:
 		ix, err := Load(br)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return CompactIndexV4(dst, ix)
+		if img, err = imageFromIndex(ix); err != nil {
+			return nil, err
+		}
 	}
+	return OpenMappedBytes(img.appendV4())
 }
 
 // Mapped is a v4 file opened for in-place querying: every accessor
@@ -543,6 +648,12 @@ type Mapped struct {
 	genData  []byte
 
 	perm []byte // recCount × u32
+
+	// The per-tree section; treeIdx is nil when the file has none.
+	treeIdx   []byte // (trees+1) × v4TreeRecLen
+	treeNames []byte
+	treeItems []byte // items × v4TreeItemLen
+	treeOrder []byte // trees × u32
 }
 
 func v4Corrupt(format string, args ...any) error {
@@ -583,7 +694,7 @@ func OpenMappedBytes(data []byte) (*Mapped, error) {
 	}
 
 	flags := le.Uint64(data[v4HdrFlags:])
-	if flags&^uint64(v4FlagIgnoreDist|v4FlagGeneric) != 0 {
+	if flags&^uint64(v4FlagIgnoreDist|v4FlagGeneric|v4FlagTrees) != 0 {
 		return nil, v4Corrupt("unknown flags %#x", flags)
 	}
 	m := &Mapped{
@@ -682,7 +793,75 @@ func OpenMappedBytes(data []byte) (*Mapped, error) {
 	if err := m.validatePerm(); err != nil {
 		return nil, err
 	}
+	if flags&v4FlagTrees != 0 {
+		if err := m.openTrees(); err != nil {
+			return nil, err
+		}
+	}
 	return m, nil
+}
+
+// openTrees bounds-checks the per-tree sections named by the descriptor
+// and validates them: monotone offsets that span their sections, record
+// references below Len and strictly ascending within each tree, positive
+// occurrence counts summing to the header's items, and a name order
+// that is a true permutation sorted by (name, tree).
+func (m *Mapped) openTrees() error {
+	data, le := m.data, binary.LittleEndian
+	if len(data) < v4HeaderLen+v4TreeDescLen {
+		return v4Corrupt("per-tree descriptor truncated")
+	}
+	trees, items := uint64(m.trees), uint64(m.items)
+	if trees > uint64(len(data))/v4TreeRecLen || items > uint64(len(data))/v4TreeItemLen {
+		return v4Corrupt("per-tree counts out of range (trees %d, items %d)", trees, items)
+	}
+	nameLen := le.Uint64(data[v4TreeNameLen:])
+	var err error
+	if m.treeIdx, err = v4Section(data, le.Uint64(data[v4TreeIdxOff:]), (trees+1)*v4TreeRecLen, "tree index"); err != nil {
+		return err
+	}
+	if m.treeNames, err = v4Section(data, le.Uint64(data[v4TreeNameOff:]), nameLen, "tree names"); err != nil {
+		return err
+	}
+	if m.treeItems, err = v4Section(data, le.Uint64(data[v4TreeItemsOff:]), items*v4TreeItemLen, "tree items"); err != nil {
+		return err
+	}
+	if m.treeOrder, err = v4Section(data, le.Uint64(data[v4TreeOrderOff:]), trees*4, "tree order"); err != nil {
+		return err
+	}
+	var prevName, prevItem uint64
+	for t := 0; t <= m.trees; t++ {
+		e := m.treeIdx[t*v4TreeRecLen:]
+		nameOff, itemOff, nodes := le.Uint64(e), le.Uint64(e[8:]), le.Uint64(e[16:])
+		if nameOff < prevName || nameOff > nameLen || itemOff < prevItem || itemOff > items || nodes > math.MaxInt64 || t == 0 && nameOff|itemOff != 0 {
+			return v4Corrupt("tree index entry #%d (names %d, items %d, nodes %d) out of bounds", t, nameOff, itemOff, nodes)
+		}
+		for i := prevItem; i < itemOff; i++ {
+			rec, occur := le.Uint32(m.treeItems[i*v4TreeItemLen:]), le.Uint32(m.treeItems[i*v4TreeItemLen+4:])
+			if int64(rec) >= int64(m.Len()) || i > prevItem && rec <= le.Uint32(m.treeItems[(i-1)*v4TreeItemLen:]) || occur < 1 {
+				return v4Corrupt("tree #%d item %d (record %d, occur %d) invalid", t-1, i, rec, occur)
+			}
+		}
+		prevName, prevItem = nameOff, itemOff
+	}
+	if prevName != nameLen || prevItem != items {
+		return v4Corrupt("tree index does not span the tree sections")
+	}
+	seen := make([]uint64, (m.trees+63)/64)
+	for i := 0; i < m.trees; i++ {
+		t := int(le.Uint32(m.treeOrder[i*4:]))
+		if t >= m.trees || seen[t/64]&(1<<(t%64)) != 0 {
+			return v4Corrupt("tree order entry #%d (tree %d) is not a permutation", i, t)
+		}
+		seen[t/64] |= 1 << (t % 64)
+		if i > 0 {
+			p := int(le.Uint32(m.treeOrder[(i-1)*4:]))
+			if c := bytes.Compare(m.treeNameBytes(p), m.treeNameBytes(t)); c > 0 || c == 0 && p > t {
+				return v4Corrupt("tree order not sorted at #%d", i)
+			}
+		}
+	}
+	return nil
 }
 
 // validateRecords checks the record section invariants: strictly
@@ -757,7 +936,7 @@ func (m *Mapped) validateRecords() error {
 }
 
 func (m *Mapped) checkDist(d core.Dist) error {
-	if m.opts.IgnoreDist != d.IsWild() {
+	if m.opts.IgnoreDist != (d == core.DistWild) {
 		return v4Corrupt("distance %s inconsistent with IgnoreDist=%v", d, m.opts.IgnoreDist)
 	}
 	if !d.IsWild() && d > m.opts.MaxDist {
@@ -837,6 +1016,7 @@ func (m *Mapped) Close() error {
 	unmap := m.unmap
 	m.unmap = nil
 	m.data, m.symIdx, m.symData, m.post, m.genIdx, m.genData, m.perm = nil, nil, nil, nil, nil, nil, nil
+	m.treeIdx, m.treeNames, m.treeItems, m.treeOrder = nil, nil, nil, nil
 	return unmap()
 }
 
@@ -940,49 +1120,68 @@ func (m *Mapped) genAt(i int) (a, b []byte, d core.Dist, n int64) {
 
 // Support returns the recorded count for the label pair at distance d
 // (0 when absent), by binary search directly on the mapped bytes with
-// zero allocation. It answers exactly what the file holds: callers own
-// the capability rules (wildcard vs IgnoreDist, distances past
-// MaxDist), as internal/serve.Backend does.
+// zero allocation. It answers exactly what the file holds: a concrete d
+// finds nothing in an IgnoreDist file, DistWild nothing in a
+// distance-keyed one, and any other d outside [0, MaxDist] nothing at
+// all. Callers own the capability rules, as internal/serve.Backend does.
 func (m *Mapped) Support(l1, l2 string, d core.Dist) int64 {
+	if d.IsWild() != m.opts.IgnoreDist {
+		return 0
+	}
+	if lo, hi := m.Records(l1, l2, d); lo < hi {
+		return m.SupportAt(lo)
+	}
+	return 0
+}
+
+// Records returns the record range [lo, hi) of the label pair: the one
+// record at distance d, or every record of the pair when d is DistWild.
+// A d that is neither DistWild nor within [0, MaxDist] has no records —
+// the packed key's 4-bit distance field would otherwise carry into the
+// label bits and name another pair.
+func (m *Mapped) Records(l1, l2 string, d core.Dist) (lo, hi int) {
+	if d != core.DistWild && (d < 0 || d > m.opts.MaxDist) {
+		return 0, 0
+	}
 	if l2 < l1 {
 		l1, l2 = l2, l1
 	}
 	if m.generic {
-		lo, hi := 0, m.genCount
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			a, b, rd, _ := m.genAt(mid)
-			c := cmpBytesString(a, l1)
-			if c == 0 {
-				c = cmpBytesString(b, l2)
-			}
-			if c == 0 {
-				switch {
-				case rd < d:
-					c = -1
-				case rd > d:
-					c = 1
-				}
-			}
-			if c < 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+		if d.IsWild() {
+			return m.genSearch(l1, l2, math.MinInt, false), m.genSearch(l1, l2, math.MaxInt, true)
 		}
+		lo = m.genSearch(l1, l2, d, false)
 		if lo < m.genCount {
-			if a, b, rd, n := m.genAt(lo); rd == d && cmpBytesString(a, l1) == 0 && cmpBytesString(b, l2) == 0 {
-				return n
+			if a, b, rd, _ := m.genAt(lo); rd == d && cmpBytesString(a, l1) == 0 && cmpBytesString(b, l2) == 0 {
+				return lo, lo + 1
 			}
 		}
-		return 0
+		return 0, 0
 	}
 	ra, ok1 := m.LookupSymbol(l1)
 	rb, ok2 := m.LookupSymbol(l2)
 	if !ok1 || !ok2 {
-		return 0
+		return 0, 0
+	}
+	if d.IsWild() {
+		// Every distance of the pair shares the key's label bits, from
+		// the wildcard key up to the key at MaxPackedDist.
+		lo = m.postSearch(uint64(core.NewIKey(ra, rb, core.DistWild)))
+		hi = m.postCount
+		if last := uint64(core.NewIKey(ra, rb, core.MaxPackedDist)); last < math.MaxUint64 {
+			hi = m.postSearch(last + 1)
+		}
+		return lo, hi
 	}
 	want := uint64(core.NewIKey(ra, rb, d))
+	if lo = m.postSearch(want); lo < m.postCount && binary.LittleEndian.Uint64(m.post[lo*v4PostRecLen:]) == want {
+		return lo, lo + 1
+	}
+	return 0, 0
+}
+
+// postSearch returns the first packed record whose key is ≥ want.
+func (m *Mapped) postSearch(want uint64) int {
 	le := binary.LittleEndian
 	lo, hi := 0, m.postCount
 	for lo < hi {
@@ -993,10 +1192,35 @@ func (m *Mapped) Support(l1, l2 string, d core.Dist) int64 {
 			hi = mid
 		}
 	}
-	if lo < m.postCount && le.Uint64(m.post[lo*v4PostRecLen:]) == want {
-		return int64(le.Uint64(m.post[lo*v4PostRecLen+8:]))
+	return lo
+}
+
+// genSearch returns the first generic record whose (A, B, D) is ≥
+// (l1, l2, d) — or, with past set, > it.
+func (m *Mapped) genSearch(l1, l2 string, d core.Dist, past bool) int {
+	lo, hi := 0, m.genCount
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		a, b, rd, _ := m.genAt(mid)
+		c := cmpBytesString(a, l1)
+		if c == 0 {
+			c = cmpBytesString(b, l2)
+		}
+		if c == 0 {
+			switch {
+			case rd < d:
+				c = -1
+			case rd > d:
+				c = 1
+			}
+		}
+		if c < 0 || c == 0 && past {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return 0
+	return lo
 }
 
 // PermAt returns the record index at position i of the
@@ -1054,4 +1278,91 @@ func (m *Mapped) Frequent(minsup int) []core.FrequentPair {
 		out = append(out, m.PairAt(rec))
 	}
 	return out
+}
+
+// HasTrees reports whether the file carries the per-tree section — the
+// item sets tree distance and wildcard support are computed from. Files
+// compacted from a v1/v2 index have it; files compacted from a shard
+// hold aggregate counts only. TreeName, TreeNodes, TreeItems and
+// TreeOccur may only be called when it is true.
+func (m *Mapped) HasTrees() bool { return m.treeIdx != nil }
+
+// treeEntry decodes tree t's index entry and the next one's offsets.
+func (m *Mapped) treeEntry(t int) (nameOff, nameEnd, itemOff, itemEnd uint64, nodes int) {
+	le := binary.LittleEndian
+	e := m.treeIdx[t*v4TreeRecLen:]
+	return le.Uint64(e), le.Uint64(e[v4TreeRecLen:]), le.Uint64(e[8:]), le.Uint64(e[v4TreeRecLen+8:]), int(le.Uint64(e[16:]))
+}
+
+func (m *Mapped) treeNameBytes(t int) []byte {
+	nameOff, nameEnd, _, _, _ := m.treeEntry(t)
+	return m.treeNames[nameOff:nameEnd]
+}
+
+// TreeName returns tree t's name (t in [0, Trees()), index order).
+func (m *Mapped) TreeName(t int) string { return string(m.treeNameBytes(t)) }
+
+// TreeNodes returns tree t's node count.
+func (m *Mapped) TreeNodes(t int) int {
+	_, _, _, _, nodes := m.treeEntry(t)
+	return nodes
+}
+
+// TreeByName returns the first tree named name, by binary search over
+// the name-sorted tree order; a file without the per-tree section names
+// no trees.
+func (m *Mapped) TreeByName(name string) (int, bool) {
+	if !m.HasTrees() {
+		return 0, false
+	}
+	lo, hi := 0, m.trees
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cmpBytesString(m.treeNameBytes(m.treeAt(mid)), name) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < m.trees && cmpBytesString(m.treeNameBytes(m.treeAt(lo)), name) == 0 {
+		return m.treeAt(lo), true
+	}
+	return 0, false
+}
+
+func (m *Mapped) treeAt(i int) int { return int(binary.LittleEndian.Uint32(m.treeOrder[i*4:])) }
+
+// TreeItems materializes tree t's cousin pair item set, exactly as the
+// source index held it.
+func (m *Mapped) TreeItems(t int) core.ItemSet {
+	le := binary.LittleEndian
+	_, _, itemOff, itemEnd, _ := m.treeEntry(t)
+	items := make(core.ItemSet, itemEnd-itemOff)
+	for i := itemOff; i < itemEnd; i++ {
+		it := m.treeItems[i*v4TreeItemLen:]
+		items[m.PairAt(int(le.Uint32(it))).Key] = int(le.Uint32(it[4:]))
+	}
+	return items
+}
+
+// TreeOccur returns tree t's occurrence count of its lowest record in
+// [lo, hi), or 0 when it holds none of them. Over a Records range that
+// is the tree's count of the pair at one distance, or — for DistWild —
+// nonzero exactly when the tree has the pair at any distance.
+func (m *Mapped) TreeOccur(t, lo, hi int) int {
+	le := binary.LittleEndian
+	_, _, a, b, _ := m.treeEntry(t)
+	i, j := int(a), int(b)
+	for i < j {
+		mid := int(uint(i+j) >> 1)
+		if int(le.Uint32(m.treeItems[mid*v4TreeItemLen:])) < lo {
+			i = mid + 1
+		} else {
+			j = mid
+		}
+	}
+	if i < int(b) && int(le.Uint32(m.treeItems[i*v4TreeItemLen:])) < hi {
+		return int(le.Uint32(m.treeItems[i*v4TreeItemLen+4:]))
+	}
+	return 0
 }

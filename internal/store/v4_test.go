@@ -149,6 +149,95 @@ func TestCompactIndexV4RoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompactIndexV4PerTree: a v4 file compacted from an index keeps
+// every tree's name, node count and item set, in both keying modes:
+// TreeItems returns the index's sets exactly, TreeByName finds the first
+// of duplicate names, and Records/TreeOccur reproduce the index's
+// concrete and wildcard support and containing-tree lists.
+func TestCompactIndexV4PerTree(t *testing.T) {
+	forest := fixtureForest(28, 14)
+	names := make([]string, len(forest))
+	for i := range names {
+		names[i] = fmt.Sprintf("t%d", i%9) // t0…t4 repeat
+	}
+	for _, maxD := range []core.Dist{core.D(2), core.MaxPackedDist + 4} {
+		ix, err := Build(forest, names, core.Options{MaxDist: maxD, MinOccur: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "idx.v4")
+		if err := CompactIndexV4(path, ix); err != nil {
+			t.Fatal(err)
+		}
+		m, err := OpenMapped(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		if !m.HasTrees() || m.Generic() != (maxD > core.MaxPackedDist) {
+			t.Fatalf("maxdist %s: HasTrees %v, Generic %v", maxD, m.HasTrees(), m.Generic())
+		}
+		for i, e := range ix.Entries {
+			if m.TreeName(i) != e.Name || m.TreeNodes(i) != e.Nodes {
+				t.Fatalf("tree %d: %q with %d nodes, want %q with %d", i, m.TreeName(i), m.TreeNodes(i), e.Name, e.Nodes)
+			}
+			if got := m.TreeItems(i); !reflect.DeepEqual(got, e.Items) {
+				t.Fatalf("tree %d: items diverge from the index (%d vs %d)", i, len(got), len(e.Items))
+			}
+			if got, ok := m.TreeByName(e.Name); !ok || got != slices.Index(names, e.Name) {
+				t.Fatalf("TreeByName(%q) = %d, %v; want the first tree of that name", e.Name, got, ok)
+			}
+		}
+		if _, ok := m.TreeByName("no-such-tree"); ok {
+			t.Fatal("unknown tree name resolved")
+		}
+		for _, p := range ix.Frequent(1) {
+			for _, d := range []core.Dist{p.Key.D, core.DistWild} {
+				lo, hi := m.Records(p.Key.B, p.Key.A, d)
+				var hits []int
+				for tr := 0; tr < m.Trees(); tr++ {
+					if n := m.TreeOccur(tr, lo, hi); n > 0 {
+						if !d.IsWild() && n != ix.Entries[tr].Items[p.Key] {
+							t.Fatalf("TreeOccur(%d, %v) = %d, want %d", tr, p.Key, n, ix.Entries[tr].Items[p.Key])
+						}
+						hits = append(hits, tr)
+					}
+				}
+				if len(hits) != ix.Support(p.Key.A, p.Key.B, d) {
+					t.Fatalf("%v at %s: %d trees, want %d", p.Key, d, len(hits), ix.Support(p.Key.A, p.Key.B, d))
+				}
+				if !d.IsWild() && !slices.Equal(hits, ix.TreesWith(p.Key)) {
+					t.Fatalf("%v: trees %v, want %v", p.Key, hits, ix.TreesWith(p.Key))
+				}
+			}
+		}
+	}
+}
+
+// TestMappedSupportPastMaxDist: a distance outside [0, MaxDist] has no
+// records. On a packed file the key's 4-bit distance field would carry
+// d+1 = 17 into the label bits, so Support(a, b, 16) used to read
+// (a, b, 0)'s count.
+func TestMappedSupportPastMaxDist(t *testing.T) {
+	sh, err := core.RestoreShard(core.DefaultForestOptions(), 1, []string{"a", "b"},
+		[]core.ShardItem{{A: 0, B: 1, D: core.D(0), N: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := compactShardToTemp(t, sh)
+	if got := m.Support("a", "b", core.D(0)); got != 7 {
+		t.Fatalf("Support(a, b, 0) = %d, want 7", got)
+	}
+	for _, d := range []core.Dist{16, 17, 31, core.MaxPackedDist, -5, core.DistWild} {
+		if got := m.Support("a", "b", d); got != 0 {
+			t.Errorf("Support(a, b, %d halves) = %d, want 0", d, got)
+		}
+		if lo, hi := m.Records("a", "b", d); d != core.DistWild && lo != hi {
+			t.Errorf("Records(a, b, %d halves) = [%d, %d), want empty", d, lo, hi)
+		}
+	}
+}
+
 // TestCompactV4Streams: CompactV4 accepts every on-disk format — v2
 // index, v3 shard, v4 itself (validated verbatim copy) — and rejects
 // garbage without creating the destination.
@@ -229,7 +318,8 @@ func corruptAt(img []byte, fixCRCs bool, f func(b []byte)) []byte {
 // TestOpenMappedBytesValidation: every class of corruption the reader
 // defends against errors cleanly — wrong magic, truncation, checksum
 // mismatches, unsorted sections, out-of-bounds offsets, fake
-// permutations — and never panics.
+// permutations, and each per-tree invariant — and never panics. The
+// CRCs are refreshed, so the structural check is what fires.
 func TestOpenMappedBytesValidation(t *testing.T) {
 	sh := mineShard(shardForest(24, 10, 25), core.DefaultForestOptions())
 	path := filepath.Join(t.TempDir(), "idx.v4")
@@ -240,8 +330,19 @@ func TestOpenMappedBytesValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenMappedBytes(img); err != nil {
-		t.Fatalf("pristine image rejected: %v", err)
+	ix, err := Build(shardForest(24, 10, 25), nil, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsrc, err := imageFromIndex(ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timg := tsrc.appendV4()
+	for _, pristine := range [][]byte{img, timg} {
+		if _, err := OpenMappedBytes(pristine); err != nil {
+			t.Fatalf("pristine image rejected: %v", err)
+		}
 	}
 
 	le := binary.LittleEndian
@@ -300,6 +401,57 @@ func TestOpenMappedBytesValidation(t *testing.T) {
 		}), ErrCorrupt},
 		{"generic flag mismatch", corruptAt(img, true, func(b []byte) {
 			le.PutUint64(b[v4HdrFlags:], le.Uint64(b[v4HdrFlags:])|v4FlagGeneric)
+		}), ErrCorrupt},
+		{"trees flag without a per-tree section", corruptAt(img, true, func(b []byte) {
+			le.PutUint64(b[v4HdrFlags:], le.Uint64(b[v4HdrFlags:])|v4FlagTrees)
+		}), ErrCorrupt},
+
+		// The per-tree section of an index-derived file.
+		{"tree index out of bounds", corruptAt(timg, true, func(b []byte) {
+			le.PutUint64(b[v4TreeIdxOff:], uint64(len(b)))
+		}), ErrCorrupt},
+		{"tree names section out of bounds", corruptAt(timg, true, func(b []byte) {
+			le.PutUint64(b[v4TreeNameLen:], uint64(len(b)))
+		}), ErrCorrupt},
+		{"tree name offsets not monotone", corruptAt(timg, true, func(b []byte) {
+			idx := le.Uint64(b[v4TreeIdxOff:])
+			le.PutUint64(b[idx+2*v4TreeRecLen:], 0)
+		}), ErrCorrupt},
+		{"tree item offsets not monotone", corruptAt(timg, true, func(b []byte) {
+			idx := le.Uint64(b[v4TreeIdxOff:])
+			le.PutUint64(b[idx+2*v4TreeRecLen+8:], 0)
+		}), ErrCorrupt},
+		{"tree index starts past zero", corruptAt(timg, true, func(b []byte) {
+			idx := le.Uint64(b[v4TreeIdxOff:])
+			le.PutUint64(b[idx+8:], 1)
+		}), ErrCorrupt},
+		{"tree record out of range", corruptAt(timg, true, func(b []byte) {
+			le.PutUint32(b[le.Uint64(b[v4TreeItemsOff:]):], uint32(le.Uint64(b[v4HdrPostCount:])))
+		}), ErrCorrupt},
+		{"tree records not ascending", corruptAt(timg, true, func(b []byte) {
+			items := le.Uint64(b[v4TreeItemsOff:])
+			copy(b[items+v4TreeItemLen:items+v4TreeItemLen+4], b[items:items+4])
+		}), ErrCorrupt},
+		{"zero occurrence count", corruptAt(timg, true, func(b []byte) {
+			le.PutUint32(b[le.Uint64(b[v4TreeItemsOff:])+4:], 0)
+		}), ErrCorrupt},
+		{"item total disagrees with header", corruptAt(timg, true, func(b []byte) {
+			le.PutUint64(b[v4HdrItems:], le.Uint64(b[v4HdrItems:])-1)
+		}), ErrCorrupt},
+		{"tree order repeats", corruptAt(timg, true, func(b []byte) {
+			order := le.Uint64(b[v4TreeOrderOff:])
+			copy(b[order+4:order+8], b[order:order+4])
+		}), ErrCorrupt},
+		{"tree order out of range", corruptAt(timg, true, func(b []byte) {
+			le.PutUint32(b[le.Uint64(b[v4TreeOrderOff:]):], uint32(le.Uint64(b[v4HdrTrees:])))
+		}), ErrCorrupt},
+		{"tree order not sorted by name", corruptAt(timg, true, func(b []byte) {
+			order := le.Uint64(b[v4TreeOrderOff:])
+			last := order + 4*(le.Uint64(b[v4HdrTrees:])-1)
+			var tmp [4]byte
+			copy(tmp[:], b[order:order+4])
+			copy(b[order:order+4], b[last:last+4])
+			copy(b[last:last+4], tmp[:])
 		}), ErrCorrupt},
 	}
 	for _, tc := range cases {

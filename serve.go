@@ -28,17 +28,21 @@ type QueryServer = serve.Server
 // counters.
 type QueryCacheStats = serve.CacheStats
 
-// OpenQueryBackend loads a store file — a cousindex v1/v2 index (all
-// endpoints), a cousinmine v3 shard checkpoint (support, frequent, and
-// stats only), or a compacted v4 file — and returns the backend serving
-// it. A reader can't be memory-mapped, so v4 bytes are held in memory
-// here; prefer OpenQueryBackendPath for v4 files.
+// OpenQueryBackend loads a store file and returns the backend serving
+// it. Every query is answered from the v4 layout: v4 bytes are served
+// as they are, and a cousindex v1/v2 index or a cousinmine v3 shard
+// checkpoint is compacted to v4 in memory first. A file from an index
+// answers every endpoint; one from a shard holds aggregate counts only
+// (support, frequent, and stats). A reader can't be memory-mapped, so
+// the image is held in memory here; prefer OpenQueryBackendPath for v4
+// files.
 func OpenQueryBackend(r io.Reader) (*QueryBackend, error) { return serve.Open(r) }
 
 // OpenQueryBackendPath opens the store file at path, auto-detecting the
 // format by magic. v4 compacted files (CompactIndexV4 / cousindex
 // compact) are memory-mapped: startup is O(1) in index size and queries
-// binary-search the file in place. Close the backend when done.
+// binary-search the file in place; other formats load as with
+// OpenQueryBackend. Close the backend when done.
 func OpenQueryBackendPath(path string) (*QueryBackend, error) { return serve.OpenPath(path) }
 
 // NewQueryServer returns an HTTP query server over the backend.

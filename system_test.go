@@ -51,8 +51,9 @@ func TestSystemCorpusToIndexToAnalysis(t *testing.T) {
 		}
 	}
 
-	// 2. Build, persist, and reload the pattern index; its frequent set
-	// must match direct multi-tree mining over the loaded trees.
+	// 2. Build, persist, and reload the pattern index as the v4 image
+	// every query reads; its frequent set must match direct multi-tree
+	// mining over the loaded trees.
 	opts := core.DefaultOptions()
 	ix, err := store.Build(loaded, nil, opts)
 	if err != nil {
@@ -73,7 +74,7 @@ func TestSystemCorpusToIndexToAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := store.Load(rf)
+	reloaded, err := store.OpenMappedReader(rf)
 	rf.Close()
 	if err != nil {
 		t.Fatal(err)
