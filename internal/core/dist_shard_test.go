@@ -280,10 +280,21 @@ func TestDrainSorted(t *testing.T) {
 		t.Fatal("summed drained runs differ from an undrained shard")
 	}
 
-	for i := 1; i < len(run1); i++ {
-		x, y := run1[i-1], run1[i]
-		if x.A > y.A || (x.A == y.A && (x.B > y.B || (x.B == y.B && x.D >= y.D))) {
-			t.Fatalf("drained run unsorted at %d", i)
+	// Runs come out in label order: (label(A), label(B), D) strictly
+	// ascending, with label(A) ≤ label(B) in every record.
+	for _, run := range [][]ShardItem{run1, run2} {
+		for i, y := range run {
+			if labelsAfter[y.A] > labelsAfter[y.B] {
+				t.Fatalf("drained record %d has label(A) > label(B)", i)
+			}
+			if i == 0 {
+				continue
+			}
+			x := run[i-1]
+			xa, xb, ya, yb := labelsAfter[x.A], labelsAfter[x.B], labelsAfter[y.A], labelsAfter[y.B]
+			if xa > ya || (xa == ya && (xb > yb || (xb == yb && x.D >= y.D))) {
+				t.Fatalf("drained run not in label order at %d", i)
+			}
 		}
 	}
 

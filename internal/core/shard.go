@@ -43,6 +43,15 @@ type SupportShard struct {
 	// miner is AddTree's scratch, owned by the shard rather than drawn
 	// from the per-P pool, so one shard keeps exactly one warm miner.
 	miner *miner
+	// run, when non-nil, holds the counts instead of sup: sup and
+	// pending are empty, the symbol IDs are the ranks of a strictly
+	// sorted table, and the run is strictly ascending with A ≤ B — the
+	// canonical Snapshot, kept as it arrived from a canonical fold or
+	// restore (see adoptable). Every mutation but a fold that continues
+	// the run first moves it into sup (unrun).
+	run *packedRun
+	// byLabel and rank are DrainSorted's label order (see labelRanks).
+	byLabel, rank []uint32
 
 	// Generic mode (beyond MaxPackedDist): counts keyed by string Key.
 	gsup map[Key]int64
@@ -79,6 +88,9 @@ func (sh *SupportShard) Trees() int {
 func (sh *SupportShard) Len() int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if sh.run != nil {
+		return sh.run.len()
+	}
 	if sh.sup != nil {
 		sh.flush()
 		return len(sh.sup)
@@ -102,6 +114,7 @@ func (sh *SupportShard) AddTree(t *tree.Tree) {
 		}
 		return
 	}
+	sh.unrun()
 	sh.syms.InternTree(t)
 	// The miner is kept only after a clean pass: a panic mid-tree may
 	// leave its arena half-updated, and it is dropped instead.
@@ -142,6 +155,27 @@ func (sh *SupportShard) sink(n int) supportSink {
 	return supportSink{acc: &sh.pending}
 }
 
+// adoptable reports whether sh is a packed shard with nothing in it —
+// no symbols, entries or pending trees — so a canonical batch can
+// become its run as it stands.
+func (sh *SupportShard) adoptable() bool {
+	return sh.sup != nil && sh.run == nil && sh.syms.Len() == 0 && len(sh.sup) == 0 && sh.pendingTrees == 0
+}
+
+// unrun moves a run-backed shard's counts into sup; from there on every
+// path behaves exactly as on a shard that never had a run.
+func (sh *SupportShard) unrun() {
+	if sh.run == nil {
+		return
+	}
+	sh.sup = make(map[IKey]int64, sh.run.len())
+	for _, w := range sh.run.words {
+		it := sh.run.item(w)
+		sh.sup[NewIKey(it.A, it.B, it.D)] = it.N
+	}
+	sh.run = nil
+}
+
 // flush drains the pending accumulator into sup and drops its table,
 // so a shard at rest — read, snapshotted, spilled, or checkpointed —
 // holds its counts in sup alone, with no pending table besides.
@@ -170,7 +204,7 @@ func (sh *SupportShard) Merge(other *SupportShard) error {
 	if other.opts != sh.opts {
 		return fmt.Errorf("core: merging shards with different options (%+v vs %+v)", other.opts, sh.opts)
 	}
-	otherTrees, labels, items := other.snapshotLocal()
+	otherTrees, labels, items, _ := other.snapshotLocal()
 	return sh.FoldFrom(labels)(otherTrees, items)
 }
 
@@ -184,18 +218,37 @@ func (sh *SupportShard) Merge(other *SupportShard) error {
 // referencing labels out of range are rejected (the batch may have come
 // from a corrupt file), though entries folded before the offending one
 // remain — callers treating a fold error as fatal should discard sh.
+//
+// A fold into an empty packed shard whose labels are strictly sorted
+// adopts the batches as the shard's run, for as long as each batch
+// continues it in canonical order (DESIGN.md §56): a canonical spilled
+// file or a run-backed Merge then lands with no map at all. The first
+// batch that does not continue the run moves it into the map and folds
+// as above.
 func (sh *SupportShard) FoldFrom(labels []string) func(trees int, items []ShardItem) error {
 	var trans []uint32
+	var run *packedRun // the run this fold adopted, while sh still holds it
 	return func(trees int, items []ShardItem) error {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		sh.trees += trees
 		if sh.sup != nil && trans == nil {
+			if sh.adoptable() && strictlySorted(labels) {
+				run = newPackedRun(len(labels))
+				sh.run = run
+			}
 			trans = make([]uint32, len(labels))
 			for i, l := range labels {
 				trans[i] = sh.syms.Intern(l)
 			}
 		}
+		if run != nil {
+			if sh.run == run && run.extend(items) {
+				return nil
+			}
+			run = nil
+		}
+		sh.unrun()
 		for _, it := range items {
 			if int(it.A) >= len(labels) || int(it.B) >= len(labels) {
 				return fmt.Errorf("core: fold: symbol id out of range (%d labels)", len(labels))
@@ -213,8 +266,9 @@ func (sh *SupportShard) FoldFrom(labels []string) func(trees int, items []ShardI
 // snapshotLocal exports the shard's state without canonicalizing: labels
 // in intern order, items in map order coded against them. It is the O(n)
 // export Merge uses — the canonical Snapshot sorts twice, which matters
-// when merging every round of a streaming run.
-func (sh *SupportShard) snapshotLocal() (trees int, labels []string, items []ShardItem) {
+// when merging every round of a streaming run. A run-backed shard's
+// export is already canonical, and canon reports it.
+func (sh *SupportShard) snapshotLocal() (trees int, labels []string, items []ShardItem, canon bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	trees = sh.trees
@@ -224,12 +278,15 @@ func (sh *SupportShard) snapshotLocal() (trees int, labels []string, items []Sha
 		for id := range labels {
 			labels[id] = sh.syms.Label(uint32(id))
 		}
+		if sh.run != nil {
+			return trees, labels, sh.run.items(), true
+		}
 		items = make([]ShardItem, 0, len(sh.sup))
 		for k, n := range sh.sup {
 			a, b := k.Syms()
 			items = append(items, ShardItem{A: a, B: b, D: k.Dist(), N: n})
 		}
-		return trees, labels, items
+		return trees, labels, items, false
 	}
 	syms := NewSymbols()
 	items = make([]ShardItem, 0, len(sh.gsup))
@@ -240,32 +297,45 @@ func (sh *SupportShard) snapshotLocal() (trees int, labels []string, items []Sha
 	for id := range labels {
 		labels[id] = syms.Label(uint32(id))
 	}
-	return trees, labels, items
+	return trees, labels, items, false
 }
 
 // DrainSorted exports and clears the shard's current support entries:
-// the items come back coded against the shard's own symbol table, sorted
-// by (A, B, D), and the count map is reset while the symbol table and
-// tree tally stay — so symbol IDs remain stable across successive
-// drains. This is the spill primitive: an out-of-core accumulator drains
-// the resident counts to a sorted on-disk run whenever they grow past
-// its budget, and the union of all drained runs (summed per key) equals
-// the counts an undrained shard would hold. Only packed shards
-// (MaxDist ≤ MaxPackedDist) support draining: a generic shard has no
-// persistent table to keep IDs stable against.
+// the items come back coded against the shard's own symbol table, in
+// label order — by (label(A), label(B), D), with A and B swapped where
+// needed so label(A) ≤ label(B) — and the count map is reset while the
+// symbol table and tree tally stay, so symbol IDs remain stable across
+// successive drains. Labels never change, so every drain of a run, and
+// every worker's drains, agree on that order: recoding a run through
+// the final label ranks leaves it in canonical Snapshot order. This is
+// the spill primitive: an out-of-core accumulator drains the resident
+// counts to a sorted on-disk run whenever they grow past its budget,
+// and the union of all drained runs (summed per key) equals the counts
+// an undrained shard would hold. Only packed shards (MaxDist ≤
+// MaxPackedDist) support draining: a generic shard has no persistent
+// table to keep IDs stable against.
 func (sh *SupportShard) DrainSorted() ([]ShardItem, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.sup == nil {
 		return nil, fmt.Errorf("core: drain: shard mined past MaxPackedDist has no stable symbol table")
 	}
+	sh.unrun()
 	sh.flush()
+	rank := sh.labelRanks()
 	items := make([]ShardItem, 0, len(sh.sup))
 	for k, n := range sh.sup {
 		a, b := k.Syms()
+		a, b = rank[a], rank[b]
+		if b < a {
+			a, b = b, a
+		}
 		items = append(items, ShardItem{A: a, B: b, D: k.Dist(), N: n})
 	}
 	sortShardItems(items)
+	for i := range items {
+		items[i].A, items[i].B = sh.byLabel[items[i].A], sh.byLabel[items[i].B]
+	}
 	clear(sh.sup)
 	return items, nil
 }
@@ -294,7 +364,7 @@ func (sh *SupportShard) LocalLabels() []string {
 // canonical export on integers — rank order of the sorted label table
 // is key order — and builds the string keys only for the result.
 func (sh *SupportShard) Finalize(minsup int) []FrequentPair {
-	_, labels, items := sh.canonical()
+	_, labels, items, _ := sh.canonical()
 	items = slices.DeleteFunc(items, func(it ShardItem) bool { return it.N < int64(minsup) })
 	if len(items) == 0 {
 		return nil
@@ -330,17 +400,25 @@ type ShardItem struct {
 // snapshot identically no matter how they were assembled. That is the
 // invariant distributed mining's differential proof rests on: a master
 // merged from any partitioning serializes to the same v3 bytes as a
-// single-process run.
+// single-process run. A run-backed shard is its canonical snapshot
+// already: the export copies the run and the labels, with no map walk
+// and no sort.
 func (sh *SupportShard) Snapshot() (opts ForestOptions, trees int, labels []string, items []ShardItem) {
-	trees, labels, items = sh.canonical()
-	sortShardItems(items)
+	trees, labels, items, sorted := sh.canonical()
+	if !sorted {
+		sortShardItems(items)
+	}
 	return sh.opts, trees, labels, items
 }
 
 // canonical exports the shard against its lexicographically sorted
-// label table: every item re-coded with A ≤ B, in no particular order.
-func (sh *SupportShard) canonical() (trees int, labels []string, items []ShardItem) {
-	trees, local, items := sh.snapshotLocal()
+// label table: every item re-coded with A ≤ B, in no particular order
+// unless sorted reports that they are already in (A, B, D) order.
+func (sh *SupportShard) canonical() (trees int, labels []string, items []ShardItem, sorted bool) {
+	trees, local, items, canon := sh.snapshotLocal()
+	if canon {
+		return trees, local, items, true
+	}
 	labels, trans := canonicalLabels(local)
 	for i := range items {
 		a, b := trans[items[i].A], trans[items[i].B]
@@ -349,7 +427,7 @@ func (sh *SupportShard) canonical() (trees int, labels []string, items []ShardIt
 		}
 		items[i].A, items[i].B = a, b
 	}
-	return trees, labels, items
+	return trees, labels, items, false
 }
 
 // canonicalLabels sorts a label table lexicographically and returns the
@@ -381,7 +459,10 @@ func compareShardItems(x, y ShardItem) int {
 
 // RestoreShard rebuilds a shard from a Snapshot-shaped export, validating
 // every reference so corrupt serialized input surfaces as an error and
-// never as a panic or an invalid shard.
+// never as a panic or an invalid shard. A canonical export — a strictly
+// sorted label table and strictly ascending items with A ≤ B, which is
+// what Snapshot writes — becomes the shard's run as it stands; any other
+// export is restored into the map.
 func RestoreShard(opts ForestOptions, trees int, labels []string, items []ShardItem) (*SupportShard, error) {
 	if trees < 0 {
 		return nil, fmt.Errorf("core: restore shard: negative tree count %d", trees)
@@ -397,6 +478,9 @@ func RestoreShard(opts ForestOptions, trees int, labels []string, items []ShardI
 				return nil, fmt.Errorf("core: restore shard: duplicate label %q", l)
 			}
 		}
+		if strictlySorted(labels) {
+			sh.run = newPackedRun(len(labels))
+		}
 	}
 	for _, it := range items {
 		if int(it.A) >= len(labels) || int(it.B) >= len(labels) {
@@ -411,6 +495,10 @@ func RestoreShard(opts ForestOptions, trees int, labels []string, items []ShardI
 		if !it.D.IsWild() && (it.D < 0 || it.D > opts.MaxDist) {
 			return nil, fmt.Errorf("core: restore shard: distance %s beyond maxdist %s", it.D, opts.MaxDist)
 		}
+		if sh.run != nil && sh.run.push(it) {
+			continue
+		}
+		sh.unrun()
 		if sh.sup != nil {
 			sh.sup[NewIKey(it.A, it.B, it.D)] += it.N
 		} else {

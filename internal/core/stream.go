@@ -310,6 +310,7 @@ func (sh *SupportShard) addRound(ctx context.Context, buf []*tree.Tree, base int
 		return nil
 	}
 
+	sh.unrun()
 	before := sh.syms.Len()
 	for _, t := range buf {
 		sh.syms.InternTree(t)

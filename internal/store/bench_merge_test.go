@@ -131,7 +131,8 @@ var treebaseRun = sync.OnceValues(func() ([]string, []core.ShardItem) {
 	return labels, items
 })
 
-// treebaseShard restores the treebase-shaped run into a shard.
+// treebaseShard restores the treebase-shaped run into a shard. The run
+// is canonical, so the shard keeps it as its run.
 func treebaseShard(b *testing.B) *core.SupportShard {
 	labels, items := treebaseRun()
 	sh, err := core.RestoreShard(core.DefaultForestOptions(), 6000, labels, items)
@@ -141,9 +142,53 @@ func treebaseShard(b *testing.B) *core.SupportShard {
 	return sh
 }
 
+// treebaseLocal returns the treebase-shaped counts coded against the
+// label table in reverse order — a stand-in for a worker's intern
+// order — sorted by (A, B, D) on those local IDs.
+func treebaseLocal() ([]string, []core.ShardItem) {
+	labels, items := treebaseRun()
+	n := uint32(len(labels))
+	local := make([]string, n)
+	for i, l := range labels {
+		local[n-1-uint32(i)] = l
+	}
+	recoded := make([]core.ShardItem, len(items))
+	for i, it := range items {
+		recoded[i] = core.ShardItem{A: n - 1 - it.B, B: n - 1 - it.A, D: it.D, N: it.N}
+	}
+	slices.SortFunc(recoded, func(x, y core.ShardItem) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B), cmp.Compare(x.D, y.D))
+	})
+	return local, recoded
+}
+
+// treebaseMapShard restores the treebase-shaped counts against a label
+// table that is not sorted, so the shard holds them in its map.
+func treebaseMapShard(b *testing.B) *core.SupportShard {
+	local, items := treebaseLocal()
+	sh, err := core.RestoreShard(core.DefaultForestOptions(), 6000, local, items)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sh
+}
+
 // benchSnapshot: one op is the canonical export of a million-entry
-// shard — re-coding plus the (A, B, D) radix order.
+// map-backed shard — re-coding plus the (A, B, D) radix order.
 func benchSnapshot(b *testing.B) {
+	sh := treebaseMapShard(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, items := sh.Snapshot(); len(items) != treebaseItems {
+			b.Fatalf("snapshot of %d items", len(items))
+		}
+	}
+}
+
+// benchSnapshotRun: one op is the canonical export of a million-entry
+// run-backed shard — a copy of the run and the labels.
+func benchSnapshotRun(b *testing.B) {
 	sh := treebaseShard(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -170,8 +215,19 @@ func benchRunReader(b *testing.B) {
 }
 
 // benchFoldFile: one op folds a spilled shard file over 18,870 labels
-// into a fresh master — the validation pass and the fold pass.
+// in local symbol order into a fresh master — the validation pass and
+// the fold pass through the master's map.
 func benchFoldFile(b *testing.B) {
+	local, items := treebaseLocal()
+	path := filepath.Join(b.TempDir(), "worker.shard")
+	writeSpilledShard(b, path, core.DefaultForestOptions(), 6000, local, items)
+	benchFold(b, path)
+}
+
+// benchFoldCanonical: one op folds the canonical spilled shard Finish
+// writes for the same counts into a fresh master, which keeps it as its
+// run.
+func benchFoldCanonical(b *testing.B) {
 	sh := treebaseShard(b)
 	sh.AddTree(shardForest(1, 1, 10)[0]) // one more tree so Finish spills
 	acc, err := NewSpillAccumulator(sh, 1, b.TempDir())
@@ -185,18 +241,25 @@ func benchFoldFile(b *testing.B) {
 	if err := acc.Finish(path); err != nil {
 		b.Fatal(err)
 	}
+	benchFold(b, path)
+}
+
+// benchFold: one op folds the spilled shard at path into a fresh
+// master.
+func benchFold(b *testing.B, path string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FoldShardFile(core.NewSupportShard(sh.Options()), path); err != nil {
+		if _, err := FoldShardFile(core.NewSupportShard(core.DefaultForestOptions()), path); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// benchCompactV4: one op compacts a million-record shard to a v4 file.
+// benchCompactV4: one op compacts a million-record map-backed shard to
+// a v4 file.
 func benchCompactV4(b *testing.B) {
-	sh := treebaseShard(b)
+	sh := treebaseMapShard(b)
 	path := filepath.Join(b.TempDir(), "idx.v4")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -215,7 +278,9 @@ func benchCompactV4(b *testing.B) {
 // shrink), and a 64k-item fold across a 512-label foreign table. The
 // sorted-run kernels (DESIGN.md §54) are measured at the treebase
 // shape: a million-entry snapshot, a million-record run read, a
-// spilled-file fold and a v4 compaction.
+// spilled-file fold and a v4 compaction, all on the map-backed master;
+// foldCanonical and snapshotRun are the run-backed master's fold and
+// snapshot (DESIGN.md §56).
 func BenchmarkMergePath(b *testing.B) {
 	b.Run("mergeRuns", func(b *testing.B) { benchMergeRuns(b, 8, 1<<16) })
 	b.Run("mergeRunsWide", func(b *testing.B) { benchMergeRuns(b, 256, 1<<12) })
@@ -224,6 +289,8 @@ func BenchmarkMergePath(b *testing.B) {
 	b.Run("runReader", benchRunReader)
 	b.Run("foldFile", benchFoldFile)
 	b.Run("compactV4", benchCompactV4)
+	b.Run("foldCanonical", benchFoldCanonical)
+	b.Run("snapshotRun", benchSnapshotRun)
 }
 
 // mergeMeasureBest re-runs a benchmark body n times and keeps the

@@ -21,12 +21,13 @@ import (
 // the corpus — which is usually the win, but on label-rich corpora the
 // pair space itself outgrows RAM. The spill machinery bounds the
 // resident set: whenever the shard's count map passes a budget, the
-// counts are drained (sorted by the shard's own stable symbol IDs) to
-// an on-disk spill segment and the map restarts empty. Because support
-// is a sum, the multiset union of all segments plus the resident tail
-// holds exactly the counts an unbounded shard would — the final file is
-// produced by a streaming k-way merge of the sorted runs, summing
-// duplicate keys, so no step ever materializes the full pair set.
+// counts are drained (in label order, coded by the shard's own stable
+// symbol IDs) to an on-disk spill segment and the map restarts empty.
+// Because support is a sum, the multiset union of all segments plus the
+// resident tail holds exactly the counts an unbounded shard would — the
+// final file is produced by a streaming k-way merge of the sorted runs,
+// recoded through the final label ranks and summing duplicate keys, so
+// no step ever materializes the full pair set.
 //
 // Two file formats, both fixed-width little-endian records guarded by
 // CRC32-C:
@@ -35,7 +36,10 @@ import (
 //	run, deleted after the final merge.
 //	spilled shard (TREEMINESPL1): gob header (options, tree tally,
 //	label table) + merged records — a worker checkpoint equivalent to
-//	a v3 shard, but written and read as a stream.
+//	a v3 shard, but written and read as a stream. Finish writes it
+//	canonical: the sorted label table and rank-coded, strictly
+//	ascending records, the Snapshot payload in run framing (DESIGN.md
+//	§56). Files written in local symbol order still fold.
 //
 // The symbol table stays resident throughout (labels are the linear
 // axis; pairs are the quadratic one), which is what keeps segment
@@ -270,6 +274,11 @@ type SpillAccumulator struct {
 	maxEntries int
 	dir        string
 	segs       []string
+	// held are drained runs no file holds yet — the tail Finish drains,
+	// or a segment whose write failed. They join every later merge and
+	// are dropped only once Finish's output is durable, so a failed
+	// Finish or spill can be retried without losing counts.
+	held [][]core.ShardItem
 }
 
 // NewSpillAccumulator returns an accumulator spilling sh's counts into
@@ -322,21 +331,32 @@ func (a *SpillAccumulator) spill() error {
 		return rw.finish()
 	})
 	if err != nil {
+		a.hold(items)
 		return fmt.Errorf("store: spill segment %d: %w", len(a.segs), err)
 	}
 	a.segs = append(a.segs, path)
 	return nil
 }
 
+// hold keeps a drained run in memory until Finish's output holds it.
+func (a *SpillAccumulator) hold(items []core.ShardItem) {
+	if len(items) > 0 {
+		a.held = append(a.held, items)
+	}
+}
+
 // Finish writes the accumulated result to path. With no segments the
 // shard never outgrew its budget and a plain v3 checkpoint is written —
 // byte-identical to an unspilled run. Otherwise the resident tail is
-// drained to a final segment and every sorted run is k-way merged,
-// streaming, into a spilled-shard file; peak memory is one buffered
-// reader per segment, never the full pair set. Segments are removed on
-// success.
+// drained and every sorted run is k-way merged, streaming, into a
+// canonical spilled-shard file: each run is read through one local ID →
+// final rank vector, which keeps a label-ordered run ascending, so the
+// merge emits the Snapshot's records in the Snapshot's order. Peak
+// memory is one buffered reader per segment, never the full pair set.
+// Segments and held runs are released on success only; after a failure
+// Finish can be called again and loses nothing.
 func (a *SpillAccumulator) Finish(path string) error {
-	if len(a.segs) == 0 {
+	if len(a.segs) == 0 && len(a.held) == 0 {
 		return AtomicWrite(path, func(w io.Writer) error {
 			return SaveShard(w, a.sh)
 		})
@@ -349,7 +369,14 @@ func (a *SpillAccumulator) Finish(path string) error {
 	if err != nil {
 		return err
 	}
-	header := spillHeader{Opts: a.sh.Options(), Trees: a.sh.Trees(), Labels: a.sh.LocalLabels()}
+	a.hold(tail)
+	local := a.sh.LocalLabels()
+	labels, ranks := rankLabels(local)
+	rank := make([]uint32, len(local))
+	for id, l := range local {
+		rank[id] = ranks[l]
+	}
+	header := spillHeader{Opts: a.sh.Options(), Trees: a.sh.Trees(), Labels: labels}
 	var hbuf bytes.Buffer
 	if err := gob.NewEncoder(&hbuf).Encode(header); err != nil {
 		return fmt.Errorf("store: spill header: %w", err)
@@ -358,7 +385,7 @@ func (a *SpillAccumulator) Finish(path string) error {
 	// Pass 1: count the merged (distinct-key) records, so the output
 	// run can be count-prefixed without buffering it.
 	count := uint64(0)
-	if err := a.mergeSegments(tail, func(core.ShardItem) error { count++; return nil }); err != nil {
+	if err := a.mergeSegments(rank, func(core.ShardItem) error { count++; return nil }); err != nil {
 		return err
 	}
 	// Pass 2: merge again, streaming into the file.
@@ -367,7 +394,7 @@ func (a *SpillAccumulator) Finish(path string) error {
 		if err != nil {
 			return err
 		}
-		if err := a.mergeSegments(tail, rw.write); err != nil {
+		if err := a.mergeSegments(rank, rw.write); err != nil {
 			return err
 		}
 		return rw.finish()
@@ -378,15 +405,15 @@ func (a *SpillAccumulator) Finish(path string) error {
 	for _, seg := range a.segs {
 		os.Remove(seg)
 	}
-	a.segs = nil
+	a.segs, a.held = nil, nil
 	return nil
 }
 
-// mergeSegments k-way merges the on-disk segments plus the in-memory
-// tail, summing counts of equal keys, and hands each merged record to
-// emit in (A, B, D) order.
-func (a *SpillAccumulator) mergeSegments(tail []core.ShardItem, emit func(core.ShardItem) error) error {
-	runs := make([]func() (core.ShardItem, error), 0, len(a.segs)+1)
+// mergeSegments k-way merges the on-disk segments plus the held
+// in-memory runs, each recoded through rank, summing counts of equal
+// keys, and hands each merged record to emit in (A, B, D) order.
+func (a *SpillAccumulator) mergeSegments(rank []uint32, emit func(core.ShardItem) error) error {
+	runs := make([]func() (core.ShardItem, error), 0, len(a.segs)+len(a.held))
 	files := make([]*os.File, 0, len(a.segs))
 	defer func() {
 		for _, f := range files {
@@ -403,22 +430,39 @@ func (a *SpillAccumulator) mergeSegments(tail []core.ShardItem, emit func(core.S
 		if err != nil {
 			return fmt.Errorf("store: spill merge %s: %w", seg, err)
 		}
-		runs = append(runs, rr.next)
+		runs = append(runs, recode(rr.next, rank))
 	}
-	ti := 0
-	runs = append(runs, func() (core.ShardItem, error) {
-		if ti >= len(tail) {
-			return core.ShardItem{}, io.EOF
-		}
-		it := tail[ti]
-		ti++
-		return it, nil
-	})
+	for _, run := range a.held {
+		i := 0
+		runs = append(runs, recode(func() (core.ShardItem, error) {
+			if i >= len(run) {
+				return core.ShardItem{}, io.EOF
+			}
+			i++
+			return run[i-1], nil
+		}, rank))
+	}
 	return mergeRuns(runs, emit)
 }
 
-// spillItemLess orders records by (A, B, D) — the DrainSorted order
-// every run shares.
+// recode reads a label-ordered run coded by local IDs as the same run
+// coded by final ranks — ascending, with A ≤ B.
+func recode(next func() (core.ShardItem, error), rank []uint32) func() (core.ShardItem, error) {
+	return func() (core.ShardItem, error) {
+		it, err := next()
+		if err != nil {
+			return it, err
+		}
+		if int(it.A) >= len(rank) || int(it.B) >= len(rank) {
+			return it, fmt.Errorf("%w: symbol id out of range", ErrCorrupt)
+		}
+		it.A, it.B = rank[it.A], rank[it.B]
+		return it, nil
+	}
+}
+
+// spillItemLess orders records by (A, B, D) — the order of every run
+// mergeRuns reads once it is recoded by final rank.
 func spillItemLess(x, y core.ShardItem) bool {
 	if x.A != y.A {
 		return x.A < y.A

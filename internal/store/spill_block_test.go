@@ -236,11 +236,15 @@ func TestSpillMergeHeapPerSegment(t *testing.T) {
 		}
 		a.segs = append(a.segs, path)
 	}
+	rank := make([]uint32, 64) // identity over blockTestItems' 64 symbols
+	for i := range rank {
+		rank[i] = uint32(i)
+	}
 	var before, during runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	stop := errors.New("stop")
-	err := a.mergeSegments(nil, func(core.ShardItem) error {
+	err := a.mergeSegments(rank, func(core.ShardItem) error {
 		runtime.GC()
 		runtime.ReadMemStats(&during)
 		return stop
@@ -257,7 +261,7 @@ func TestSpillMergeHeapPerSegment(t *testing.T) {
 
 // writeSpilledShard writes a spilled-shard file holding items (sorted,
 // distinct, coded against labels) the way SpillAccumulator.Finish does.
-func writeSpilledShard(t *testing.T, path string, opts core.ForestOptions, trees int, labels []string, items []core.ShardItem) {
+func writeSpilledShard(t testing.TB, path string, opts core.ForestOptions, trees int, labels []string, items []core.ShardItem) {
 	t.Helper()
 	var hbuf bytes.Buffer
 	if err := gob.NewEncoder(&hbuf).Encode(spillHeader{Opts: opts, Trees: trees, Labels: labels}); err != nil {
