@@ -330,10 +330,10 @@ func BenchmarkAblationNewick(b *testing.B) {
 
 // BenchmarkTDistMatrix is the ablation trio for the pairwise-distance
 // engine behind cluster.TDistMatrix, the kernel search, and phylodist:
-// the pre-engine fill (string-keyed Mine per tree, per-pair view
-// rebuilds in TDistItems), the profile engine on one worker (frozen
-// posting lists, allocation-free merge-join per pair), and the profile
-// engine at GOMAXPROCS. Fixture construction is excluded from timing.
+// the per-pair fill (string-keyed Mine per tree, TDistItems per pair),
+// the profile engine on one worker (frozen posting lists,
+// allocation-free merge-join per pair), and the profile engine at
+// GOMAXPROCS. Fixture construction is excluded from timing.
 func BenchmarkTDistMatrix(b *testing.B) {
 	for _, n := range []int{50, 200, 500} {
 		rng := rand.New(rand.NewSource(3))
@@ -345,6 +345,8 @@ func BenchmarkTDistMatrix(b *testing.B) {
 		}
 		opts := core.DefaultOptions()
 		v := core.VariantDistOccur
+		// serial-maps keeps its name for BENCH_3.json continuity; it now
+		// times the item-set entry point (TDistItems freezes both sets).
 		b.Run(fmt.Sprintf("n=%d/serial-maps", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -79,7 +79,6 @@ func experiments() []experiment {
 		{"studies", "per-study co-occurring patterns across the simulated corpus (§5.1)", runStudies},
 		{"measures", "cousin-based distances vs classical baselines under NNI perturbation (§7)", runMeasures},
 		{"ablation", "single-tree miner strategies compared (beyond the paper)", runAblation},
-		{"distmatrix", "pairwise tdist matrix fill: per-pair maps vs the profile engine", runDistMatrix},
 		{"distmine", "coordinator/worker mining: plan, N worker processes, merge vs single-process", runDistMine},
 	}
 }

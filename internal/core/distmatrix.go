@@ -70,23 +70,13 @@ func BuildProfilesCtx(ctx context.Context, trees []*tree.Tree, v Variant, opts O
 	if workers > len(trees) {
 		workers = len(trees)
 	}
-	var syms *Symbols
-	if packable(opts.MaxDist) {
-		syms = NewSymbols()
-		for _, t := range trees {
-			syms.InternTree(t)
-		}
-	}
+	profile := profiler(trees, v, opts)
 	mineOne := func(i int) error {
 		err := guard.Run(func() error {
 			if err := faults.Hit(faults.ProfileWorker); err != nil {
 				return err
 			}
-			if syms != nil {
-				profiles[i] = NewProfileISet(MineISet(trees[i], opts, syms), v)
-			} else {
-				profiles[i] = NewProfileItems(Mine(trees[i], opts), v)
-			}
+			profiles[i] = profile(trees[i])
 			return nil
 		})
 		if err != nil {

@@ -9,9 +9,9 @@ import (
 )
 
 // serialMapMatrix is the pre-engine reference fill: string-keyed Mine
-// once per tree, then TDistItems (per-pair view rebuilds) over the upper
-// triangle — exactly what cluster.TDistMatrix did before the profile
-// engine.
+// once per tree, then the map-based TDistItems (tdistItemsOracle,
+// per-pair view rebuilds) over the upper triangle — exactly what
+// cluster.TDistMatrix did before the profile engine.
 func serialMapMatrix(trees []*tree.Tree, v Variant, opts Options) [][]float64 {
 	n := len(trees)
 	items := make([]ItemSet, n)
@@ -24,7 +24,7 @@ func serialMapMatrix(trees []*tree.Tree, v Variant, opts Options) [][]float64 {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d := TDistItems(items[i], items[j], v)
+			d := tdistItemsOracle(items[i], items[j], v)
 			out[i][j], out[j][i] = d, d
 		}
 	}

@@ -183,8 +183,8 @@ func TestMineForestFallbackPastPackedDist(t *testing.T) {
 }
 
 // TestTDistInternedMatchesStringPath checks that the interned TDist
-// (shared symbol table + packed multisets) returns exactly the floats
-// the string-keyed path computes, for every variant.
+// (shared symbol table + packed profiles) returns exactly the floats
+// the string-keyed map oracle computes, for every variant.
 func TestTDistInternedMatchesStringPath(t *testing.T) {
 	variants := []Variant{VariantLabel, VariantDist, VariantOccur, VariantDistOccur}
 	f := func(seed int64, n1, n2, alpha, maxD uint8) bool {
@@ -196,9 +196,9 @@ func TestTDistInternedMatchesStringPath(t *testing.T) {
 		i1, i2 := Mine(t1, opts), Mine(t2, opts)
 		for _, v := range variants {
 			got := TDist(t1, t2, v, opts)
-			want := TDistItems(i1, i2, v)
+			want := tdistItemsOracle(i1, i2, v)
 			if got != want {
-				t.Logf("%s opts=%+v: TDist %v != TDistItems %v", v, opts, got, want)
+				t.Logf("%s opts=%+v: TDist %v != map oracle %v", v, opts, got, want)
 				return false
 			}
 		}
@@ -219,15 +219,15 @@ func TestSimInternedMatchesStringPath(t *testing.T) {
 		tt := randAlphaTree(rng, int(n2)%40+1, a)
 		opts := Options{MaxDist: Dist(int(maxD) % 8), MinOccur: 1}
 		got := Sim(c, tt, opts)
-		want := SimItems(Mine(c, opts), Mine(tt, opts))
+		want := simItemsOracle(Mine(c, opts), Mine(tt, opts))
 		if got != want {
-			t.Logf("opts=%+v: Sim %v != SimItems %v", opts, got, want)
+			t.Logf("opts=%+v: Sim %v != map oracle %v", opts, got, want)
 			return false
 		}
 		set := []*tree.Tree{tt, randAlphaTree(rng, 20, a)}
 		avg := AvgSim(c, set, opts)
-		wantAvg := (SimItems(Mine(c, opts), Mine(set[0], opts)) +
-			SimItems(Mine(c, opts), Mine(set[1], opts))) / 2
+		wantAvg := (simItemsOracle(Mine(c, opts), Mine(set[0], opts)) +
+			simItemsOracle(Mine(c, opts), Mine(set[1], opts))) / 2
 		if avg != wantAvg {
 			t.Logf("opts=%+v: AvgSim %v != %v", opts, avg, wantAvg)
 			return false

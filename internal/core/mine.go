@@ -112,24 +112,30 @@ func MinePairs(t *tree.Tree, opts Options) []Pair {
 // mine many trees and compare the results without ever touching strings.
 // opts.MaxDist must be at most MaxPackedDist.
 func MineISet(t *tree.Tree, opts Options, syms *Symbols) ISet {
+	out := make(ISet)
+	mineIKeys(t, opts, syms, func(k IKey, n int32) { out[k] = n })
+	return out
+}
+
+// mineIKeys is MineISet without the map: it hands each item that meets
+// opts.MinOccur to f, in no particular order.
+func mineIKeys(t *tree.Tree, opts Options, syms *Symbols, f func(k IKey, n int32)) {
 	if !packable(opts.MaxDist) {
 		panic(fmt.Sprintf("core: MineISet at maxdist %s beyond MaxPackedDist", opts.MaxDist))
 	}
 	m := getMiner(t, opts, syms)
 	defer m.release()
-	out := make(ISet)
 	if m.maxJ == 0 {
-		return out
+		return
 	}
 	m.acc.init(syms.Len(), m.nd)
 	m.accumulate(&m.acc)
 	minOccur := opts.MinOccur
 	m.acc.drain(func(a, b uint32, dc int, n int32) {
 		if int(n) >= minOccur {
-			out[NewIKey(a, b, Dist(dc))] = n
+			f(NewIKey(a, b, Dist(dc)), n)
 		}
 	})
-	return out
 }
 
 // miner holds the per-tree state for one mining pass: interned node

@@ -95,6 +95,7 @@ type IKey uint64
 const (
 	ikeySymBits  = 30
 	ikeyDistBits = 4
+	ikeyDistMask = 1<<ikeyDistBits - 1
 
 	// MaxSymbols is the largest number of distinct labels an IKey can
 	// address.
@@ -122,7 +123,7 @@ func (k IKey) Syms() (a, b uint32) {
 
 // Dist returns the cousin distance (DistWild when the key is a wildcard
 // aggregate).
-func (k IKey) Dist() Dist { return Dist(k&(1<<ikeyDistBits-1)) - 1 }
+func (k IKey) Dist() Dist { return Dist(k&ikeyDistMask) - 1 }
 
 // Key converts back to the public string-keyed form, re-canonicalizing by
 // label order.
@@ -154,38 +155,6 @@ func (s ISet) ToItemSet(syms *Symbols, minOccur int) ItemSet {
 	for k, n := range s {
 		if int(n) >= minOccur {
 			out[k.Key(syms)] = int(n)
-		}
-	}
-	return out
-}
-
-// Total returns the multiset cardinality.
-func (s ISet) Total() int64 {
-	var n int64
-	for _, c := range s {
-		n += int64(c)
-	}
-	return n
-}
-
-// view projects the multiset to a Variant's components, mirroring
-// Variant.view on ItemSet. VariantDistOccur returns s itself.
-func (s ISet) view(v Variant) ISet {
-	if v == VariantDistOccur {
-		return s
-	}
-	out := make(ISet, len(s))
-	for k, n := range s {
-		a, b := k.Syms()
-		switch v {
-		case VariantLabel:
-			out[NewIKey(a, b, DistWild)] = 1
-		case VariantDist:
-			out[k] = 1
-		case VariantOccur:
-			out[NewIKey(a, b, DistWild)] += n
-		default:
-			panic(fmt.Sprintf("core: unknown variant %d", int(v)))
 		}
 	}
 	return out

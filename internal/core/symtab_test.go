@@ -132,6 +132,9 @@ func TestIKeyKeyConversion(t *testing.T) {
 	}
 }
 
+// TestISetViewsMatchItemSetViews: a packed profile's postings, converted
+// back to string keys, are exactly the item set's variant view — the
+// in-place projection on IKeys computes what the map views compute.
 func TestISetViewsMatchItemSetViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tr := randLabeledTree(rng, 50)
@@ -144,11 +147,12 @@ func TestISetViewsMatchItemSetViews(t *testing.T) {
 		t.Fatal("MineISet does not match Mine")
 	}
 	for _, v := range []Variant{VariantLabel, VariantDist, VariantOccur, VariantDistOccur} {
-		got := is.view(v).ToItemSet(syms, 0)
-		want := v.view(items)
-		// ToItemSet with minOccur 0 keeps everything, matching the map copy.
-		if !reflect.DeepEqual(got, ItemSet(want)) {
-			t.Errorf("%s: interned view %v != string view %v", v, got, want)
+		got := ItemSet{}
+		for _, pt := range NewProfileISet(is, v).posts {
+			got[pt.Key.Key(syms)] = int(pt.N)
+		}
+		if want := v.view(items); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: packed projection %v != string view %v", v, got, want)
 		}
 	}
 }

@@ -41,22 +41,6 @@ func (v Variant) String() string {
 	}
 }
 
-// view projects an item set to the variant's components.
-func (v Variant) view(s ItemSet) ItemSet {
-	switch v {
-	case VariantLabel:
-		return s.LabelPairs()
-	case VariantDist:
-		return s.IgnoreOccur()
-	case VariantOccur:
-		return s.IgnoreDist()
-	case VariantDistOccur:
-		return s
-	default:
-		panic(fmt.Sprintf("core: unknown variant %d", int(v)))
-	}
-}
-
 // TDist is the cousin-based tree distance of Eq. 6:
 //
 //	tdist(T1, T2) = 1 − |cpi(T1) ∩ cpi(T2)| / |cpi(T1) ∪ cpi(T2)|
@@ -70,56 +54,14 @@ func (v Variant) view(s ItemSet) ItemSet {
 // work. Two trees with empty item sets (e.g. single nodes) are at
 // distance 0.
 func TDist(t1, t2 *tree.Tree, v Variant, opts Options) float64 {
-	if packable(opts.MaxDist) {
-		// Intern both trees into one table so the whole computation —
-		// mining, projection, ∩/∪ — runs on integer keys.
-		syms := NewSymbols()
-		syms.InternTree(t1)
-		syms.InternTree(t2)
-		return TDistISets(MineISet(t1, opts, syms), MineISet(t2, opts, syms), v)
-	}
-	return TDistItems(Mine(t1, opts), Mine(t2, opts), v)
+	profile := profiler([]*tree.Tree{t1, t2}, v, opts)
+	return TDistProfiles(profile(t1), profile(t2))
 }
 
 // TDistItems computes the tree distance from pre-mined item sets; use it
-// when computing many pairwise distances over the same trees.
+// when computing many pairwise distances over the same trees. It is the
+// item-set form of TDistProfiles: both sets are frozen into profiles
+// under the variant first.
 func TDistItems(s1, s2 ItemSet, v Variant) float64 {
-	a, b := v.view(s1), v.view(s2)
-	// Σ min over shared keys gives |∩|; |∪| follows from
-	// min(x,y) + max(x,y) = x + y without materializing either multiset.
-	inter := 0
-	for k, n := range a {
-		if m, ok := b[k]; ok {
-			if m < n {
-				n = m
-			}
-			inter += n
-		}
-	}
-	union := a.Total() + b.Total() - inter
-	if union == 0 {
-		return 0
-	}
-	return 1 - float64(inter)/float64(union)
-}
-
-// TDistISets is TDistItems over interned item sets (both projected from
-// the same Symbols table): the pairwise-distance hot path of the kernel
-// search runs here, on packed integer keys.
-func TDistISets(s1, s2 ISet, v Variant) float64 {
-	a, b := s1.view(v), s2.view(v)
-	var inter int64
-	for k, n := range a {
-		if m, ok := b[k]; ok {
-			if m < n {
-				n = m
-			}
-			inter += int64(n)
-		}
-	}
-	union := a.Total() + b.Total() - inter
-	if union == 0 {
-		return 0
-	}
-	return 1 - float64(inter)/float64(union)
+	return TDistProfiles(NewProfileItems(s1, v), NewProfileItems(s2, v))
 }

@@ -170,11 +170,13 @@ func TestTDistIsomorphicTreesAtZero(t *testing.T) {
 	}
 }
 
+// TestVariantViewPanicsOnUnknown: projecting a profile to a variant
+// outside the four is a programming error, even on an empty profile.
 func TestVariantViewPanicsOnUnknown(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on unknown variant")
 		}
 	}()
-	Variant(42).view(ItemSet{})
+	NewProfileItems(ItemSet{}, Variant(42))
 }

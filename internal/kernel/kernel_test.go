@@ -147,41 +147,21 @@ func TestFindDeterministic(t *testing.T) {
 	}
 }
 
-// findRef is the pre-engine Find, verbatim: per-tree ISets/ItemSets,
-// lazily memoized TDistISets/TDistItems per pair, and a descent that
-// recomputes every candidate sum freshly. The profile-engine Find must
+// findRef is the pre-engine Find: per-tree ItemSets, lazily memoized
+// TDistItems per pair, and a descent that recomputes every candidate
+// sum freshly. The profile-engine Find must
 // produce identical choices, distances, and exactness flags.
 func findRef(groups [][]*tree.Tree, cfg Config) *Result {
 	s := len(groups)
-	var rawDist func(gi, ti, gj, tj int) float64
-	if cfg.Options.MaxDist <= core.MaxPackedDist {
-		syms := core.NewSymbols()
-		for _, g := range groups {
-			for _, t := range g {
-				syms.InternTree(t)
-			}
+	items := make([][]core.ItemSet, s)
+	for gi, g := range groups {
+		items[gi] = make([]core.ItemSet, len(g))
+		for ti, t := range g {
+			items[gi][ti] = core.Mine(t, cfg.Options)
 		}
-		isets := make([][]core.ISet, s)
-		for gi, g := range groups {
-			isets[gi] = make([]core.ISet, len(g))
-			for ti, t := range g {
-				isets[gi][ti] = core.MineISet(t, cfg.Options, syms)
-			}
-		}
-		rawDist = func(gi, ti, gj, tj int) float64 {
-			return core.TDistISets(isets[gi][ti], isets[gj][tj], cfg.Variant)
-		}
-	} else {
-		items := make([][]core.ItemSet, s)
-		for gi, g := range groups {
-			items[gi] = make([]core.ItemSet, len(g))
-			for ti, t := range g {
-				items[gi][ti] = core.Mine(t, cfg.Options)
-			}
-		}
-		rawDist = func(gi, ti, gj, tj int) float64 {
-			return core.TDistItems(items[gi][ti], items[gj][tj], cfg.Variant)
-		}
+	}
+	rawDist := func(gi, ti, gj, tj int) float64 {
+		return core.TDistItems(items[gi][ti], items[gj][tj], cfg.Variant)
 	}
 	type pairKey struct{ gi, ti, gj, tj int }
 	memo := map[pairKey]float64{}

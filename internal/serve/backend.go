@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"treemine/internal/core"
 	"treemine/internal/faults"
@@ -218,11 +219,24 @@ func (b *Backend) resolve(name string) (int, error) {
 	return t, nil
 }
 
+// runBufs holds the two posting runs one TDist request reads its trees
+// into; pooled, so a warm backend answers tdist without allocating.
+type runBufs struct{ a, b []core.Posting }
+
+var runPool = sync.Pool{New: func() any { return new(runBufs) }}
+
 // TDist computes the paper's cousin-based tree distance (Eq. 6, under
 // the requested variant) and similarity score (Eq. 4) between two named
-// trees: the library's core.TDistItems and core.SimItems on the item
-// sets mined at index build time. A file without per-tree items reports
-// ErrUnsupported.
+// trees, on the item sets mined at index build time — the library's
+// core.TDistItems and core.SimItems answers. A file without per-tree
+// items reports ErrUnsupported.
+//
+// On a packed file each tree's items come off the mapped per-tree
+// section as a posting run already sorted by key (records are in
+// rank-coded IKey order, a tree's items in record order): σ runs on the
+// two VariantDistOccur runs, which are then projected in place to the
+// variant for tdist. Nothing is materialized. A generic file's trees go
+// through the item-set forms.
 func (b *Backend) TDist(t1, t2 string, v core.Variant) (tdist, sim float64, err error) {
 	if !b.m.HasTrees() {
 		return 0, 0, fmt.Errorf("%w: tree distance needs per-tree item sets (serve an index, not a shard)", ErrUnsupported)
@@ -235,8 +249,33 @@ func (b *Backend) TDist(t1, t2 string, v core.Variant) (tdist, sim float64, err 
 	if err != nil {
 		return 0, 0, err
 	}
-	s1, s2 := b.m.TreeItems(i), b.m.TreeItems(j)
-	return core.TDistItems(s1, s2, v), core.SimItems(s1, s2), nil
+	if b.m.Generic() {
+		s1, s2 := b.treeItems(i), b.treeItems(j)
+		return core.TDistItems(s1, s2, v), core.SimItems(s1, s2), nil
+	}
+	bufs := runPool.Get().(*runBufs)
+	defer runPool.Put(bufs)
+	bufs.a, bufs.b = b.treeRun(i, bufs.a[:0]), b.treeRun(j, bufs.b[:0])
+	p, q := core.RunProfile(bufs.a), core.RunProfile(bufs.b)
+	sim = core.SimProfiles(&p, &q)
+	p.Project(v)
+	q.Project(v)
+	return core.TDistProfiles(&p, &q), sim, nil
+}
+
+// treeRun appends packed tree t's items to run as postings in key order.
+func (b *Backend) treeRun(t int, run []core.Posting) []core.Posting {
+	b.m.TreeRecords(t, func(rec, occur int) {
+		run = append(run, core.Posting{Key: b.m.KeyAt(rec), N: int64(occur)})
+	})
+	return run
+}
+
+// treeItems materializes generic tree t's item set.
+func (b *Backend) treeItems(t int) core.ItemSet {
+	items := core.ItemSet{}
+	b.m.TreeRecords(t, func(rec, occur int) { items[b.m.PairAt(rec).Key] = occur })
+	return items
 }
 
 // Stats describes the loaded data; every field is a pure function of

@@ -105,7 +105,7 @@ func FuzzStoreRead(f *testing.F) {
 				if got, ok := m.TreeByName(m.TreeName(tr)); !ok || m.TreeName(got) != m.TreeName(tr) {
 					t.Fatalf("tree %d not found by its own name", tr)
 				}
-				for k, n := range m.TreeItems(tr) {
+				for k, n := range treeItems(m, tr) {
 					if lo, hi := m.Records(k.A, k.B, k.D); m.TreeOccur(tr, lo, hi) != n {
 						t.Fatalf("tree %d: item %v × %d unreachable", tr, k, n)
 					}

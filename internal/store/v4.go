@@ -1249,6 +1249,13 @@ func (m *Mapped) DistAt(rec int) core.Dist {
 	return k.Dist()
 }
 
+// KeyAt returns packed record rec's key: an IKey over the file's label
+// ranks, so key order is record order. Packed files only.
+func (m *Mapped) KeyAt(rec int) core.IKey {
+	k, _ := m.postingAt(rec)
+	return k
+}
+
 // PairAt materializes record rec as a public FrequentPair (this is the
 // one accessor that allocates — the label strings of the returned key).
 func (m *Mapped) PairAt(rec int) core.FrequentPair {
@@ -1283,7 +1290,7 @@ func (m *Mapped) Frequent(minsup int) []core.FrequentPair {
 // HasTrees reports whether the file carries the per-tree section — the
 // item sets tree distance and wildcard support are computed from. Files
 // compacted from a v1/v2 index have it; files compacted from a shard
-// hold aggregate counts only. TreeName, TreeNodes, TreeItems and
+// hold aggregate counts only. TreeName, TreeNodes, TreeRecords and
 // TreeOccur may only be called when it is true.
 func (m *Mapped) HasTrees() bool { return m.treeIdx != nil }
 
@@ -1332,17 +1339,16 @@ func (m *Mapped) TreeByName(name string) (int, bool) {
 
 func (m *Mapped) treeAt(i int) int { return int(binary.LittleEndian.Uint32(m.treeOrder[i*4:])) }
 
-// TreeItems materializes tree t's cousin pair item set, exactly as the
-// source index held it.
-func (m *Mapped) TreeItems(t int) core.ItemSet {
+// TreeRecords calls fn with each of tree t's items in ascending record
+// order: the record index and the tree's occurrence count of it. The
+// records are in key order, so on a packed file (KeyAt) the calls spell
+// the tree's item run sorted by rank-coded IKey.
+func (m *Mapped) TreeRecords(t int, fn func(rec, occur int)) {
 	le := binary.LittleEndian
 	_, _, itemOff, itemEnd, _ := m.treeEntry(t)
-	items := make(core.ItemSet, itemEnd-itemOff)
-	for i := itemOff; i < itemEnd; i++ {
-		it := m.treeItems[i*v4TreeItemLen:]
-		items[m.PairAt(int(le.Uint32(it))).Key] = int(le.Uint32(it[4:]))
+	for it := m.treeItems[itemOff*v4TreeItemLen : itemEnd*v4TreeItemLen]; len(it) > 0; it = it[v4TreeItemLen:] {
+		fn(int(le.Uint32(it)), int(le.Uint32(it[4:])))
 	}
-	return items
 }
 
 // TreeOccur returns tree t's occurrence count of its lowest record in

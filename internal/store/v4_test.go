@@ -149,9 +149,17 @@ func TestCompactIndexV4RoundTrip(t *testing.T) {
 	}
 }
 
+// treeItems materializes tree t's item set from its records.
+func treeItems(m *Mapped, t int) core.ItemSet {
+	items := core.ItemSet{}
+	m.TreeRecords(t, func(rec, occur int) { items[m.PairAt(rec).Key] = occur })
+	return items
+}
+
 // TestCompactIndexV4PerTree: a v4 file compacted from an index keeps
 // every tree's name, node count and item set, in both keying modes:
-// TreeItems returns the index's sets exactly, TreeByName finds the first
+// TreeRecords spells the index's sets exactly (on a packed file, as a
+// strictly key-ascending run), TreeByName finds the first
 // of duplicate names, and Records/TreeOccur reproduce the index's
 // concrete and wildcard support and containing-tree lists.
 func TestCompactIndexV4PerTree(t *testing.T) {
@@ -181,8 +189,17 @@ func TestCompactIndexV4PerTree(t *testing.T) {
 			if m.TreeName(i) != e.Name || m.TreeNodes(i) != e.Nodes {
 				t.Fatalf("tree %d: %q with %d nodes, want %q with %d", i, m.TreeName(i), m.TreeNodes(i), e.Name, e.Nodes)
 			}
-			if got := m.TreeItems(i); !reflect.DeepEqual(got, e.Items) {
+			if got := treeItems(m, i); !reflect.DeepEqual(got, e.Items) {
 				t.Fatalf("tree %d: items diverge from the index (%d vs %d)", i, len(got), len(e.Items))
+			}
+			if !m.Generic() {
+				var run []core.IKey
+				m.TreeRecords(i, func(rec, _ int) { run = append(run, m.KeyAt(rec)) })
+				for j := 1; j < len(run); j++ {
+					if run[j-1] >= run[j] {
+						t.Fatalf("tree %d: key run not strictly ascending at %d", i, j)
+					}
+				}
 			}
 			if got, ok := m.TreeByName(e.Name); !ok || got != slices.Index(names, e.Name) {
 				t.Fatalf("TreeByName(%q) = %d, %v; want the first tree of that name", e.Name, got, ok)
