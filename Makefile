@@ -58,7 +58,7 @@ race:
 	$(GO) test -race ./internal/cluster ./internal/kernel -run 'Differential|Reference|Matches'
 	$(GO) test -race ./internal/parsimony -run 'WorkerCount|TiedSet|Search|Incremental'
 	$(GO) test -race ./internal/serve -run 'Differential|Race|Cache|Drain|Hammer'
-	$(GO) test -race ./internal/store -run 'Spill|Manifest|FoldShardFile|FoldManifest|Journal|VerifyShard'
+	$(GO) test -race ./internal/store -run 'Spill|Manifest|FoldShardFile|FoldManifest|Journal|VerifyShard|Ingest'
 	$(GO) test -race ./internal/coord
 	$(GO) test -race ./cmd/cousinmine -run 'DistributedDifferential|DistGolden'
 
@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/newick
 	$(GO) test -fuzz=FuzzScanner -fuzztime=$(FUZZTIME) -run '^$$' ./internal/newick
 	$(GO) test -fuzz=FuzzStoreRead -fuzztime=$(FUZZTIME) -run '^$$' ./internal/store
+	$(GO) test -fuzz=FuzzIngest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/store
 	$(GO) test -fuzz=FuzzQueryParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
 
 smoke:

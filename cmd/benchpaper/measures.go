@@ -14,8 +14,8 @@ import (
 
 	"treemine"
 	"treemine/internal/benchutil"
-	"treemine/internal/editdist"
 	"treemine/internal/distance"
+	"treemine/internal/editdist"
 	"treemine/internal/parsimony"
 	"treemine/internal/tree"
 	"treemine/internal/treegen"

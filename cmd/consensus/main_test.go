@@ -61,7 +61,7 @@ func TestRunErrors(t *testing.T) {
 	}{
 		{[]string{"-method", "bogus"}, twoTrees},
 		{[]string{"-maxdist", "zzz"}, twoTrees},
-		{nil, ""},                        // no trees
+		{nil, ""},                         // no trees
 		{nil, "((a,b),c);((a,b),(c,d));"}, // taxa mismatch
 	} {
 		var out strings.Builder

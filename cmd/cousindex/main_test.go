@@ -97,15 +97,15 @@ func TestQueryMultiplePairs(t *testing.T) {
 func TestErrors(t *testing.T) {
 	idx := buildIndex(t)
 	cases := [][]string{
-		{},                          // no subcommand
-		{"bogus"},                   // unknown subcommand
-		{"build"},                   // missing -o
-		{"build", "-o", "/nope/x"},  // unwritable… but also no trees: error either way
+		{},                         // no subcommand
+		{"bogus"},                  // unknown subcommand
+		{"build"},                  // missing -o
+		{"build", "-o", "/nope/x"}, // unwritable… but also no trees: error either way
 		{"build", "-o", "x", "-maxdist", "zz"},
 		{"build", "-o", "x", "-maxdist", "*"},
-		{"frequent"},                // missing -i
+		{"frequent"}, // missing -i
 		{"frequent", "-i", "/nonexistent"},
-		{"query", "-i", idx},        // missing -pair
+		{"query", "-i", idx}, // missing -pair
 		{"query", "-i", idx, "-pair", "onlyone"},
 		{"query", "-i", idx, "-pair", "a,b", "-dist", "zz"},
 		{"info"},

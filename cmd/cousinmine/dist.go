@@ -1,26 +1,9 @@
 package main
 
-// Distributed coordinator/worker mining (DESIGN.md §51–52). The corpus
-// is split by tree range: -plan counts the corpus (skimming, not
-// parsing) and writes a partition manifest; -worker N mines one
-// manifest range to its own shard file, optionally spilling past a
-// -max-resident budget; -merge folds every worker shard — across
-// disjoint symbol tables — into the master, verifying per-partition
-// provenance so a missing or torn shard names exactly the range to
-// re-mine; -distributed N runs the whole plan→workers→merge pipeline
-// with supervised local worker processes.
-//
-// Supervision (DESIGN.md §52): the coordinator drives workers through
-// internal/coord — a bounded pool with per-attempt timeouts, retries
-// under exponential backoff, straggler re-execution, and
-// skip-completed resume over an existing work directory. Because
-// SupportShard.Snapshot is canonical and shard writes are atomic,
-// re-executing a partition never changes the merged master: it is
-// byte-identical to a single-process mine of the same corpus, whatever
-// the partition count, retry history, or merge order. -allow-partial
-// degrades instead of failing: the valid shards are merged, the
-// coverage reported exactly, and each gap named with the command that
-// re-mines it.
+// Distributed coordinator/worker mining (DESIGN.md §51–52, §58): the
+// -plan, -worker, -merge and -distributed modes. Workers and merges run
+// through store.Mine and store.Merge; the coordinator supervises worker
+// processes through internal/coord.
 
 import (
 	"context"
@@ -147,12 +130,10 @@ func runPlan(planPath string, files []string, parts int, fopts treemine.ForestOp
 // bucket overhead around them.
 const spillBytesPerEntry = 64
 
-// runWorker mines one manifest partition to its shard file. With a
-// -max-resident budget the accumulator spills to sorted segments
-// beside the shard and the final file is their streaming merge;
-// without one, a plain v3 checkpoint is written. Either way the write
-// is atomic — a worker killed mid-range leaves no shard, which the
-// merge reports as exactly that range needing a re-mine.
+// runWorker mines one manifest partition to its shard file through
+// store.Mine, spilling past a -max-resident budget. The write is
+// atomic: a worker killed mid-range leaves no shard, which the merge
+// reports as exactly that range needing a re-mine.
 func runWorker(ctx context.Context, d *distFlags, stdout io.Writer) error {
 	if d.manifest == "" {
 		return fmt.Errorf("-worker requires -manifest")
@@ -165,63 +146,39 @@ func runWorker(ctx context.Context, d *distFlags, stdout io.Writer) error {
 		return fmt.Errorf("partition %d out of range (manifest has %d)", d.worker, len(m.Partitions))
 	}
 	p := m.Partitions[d.worker]
-	opts := m.Options.ForestOptions()
 	shardPath := m.ShardPath(d.worker)
-
-	cfg := treemine.StreamConfig{Workers: d.shards}
-	var acc *store.SpillAccumulator
-	var spillDir string
+	cfg := store.MineConfig{Workers: d.shards, Shard: shardPath, Trees: p.Trees}
 	if d.maxResident != "" {
 		budget, err := parseBytes(d.maxResident)
 		if err != nil {
 			return fmt.Errorf("-max-resident: %w", err)
 		}
-		maxEntries := int(budget / spillBytesPerEntry)
-		if maxEntries < 1 {
+		if cfg.SpillEntries = int(budget / spillBytesPerEntry); cfg.SpillEntries < 1 {
 			return fmt.Errorf("-max-resident %s is below one resident entry (~%d bytes)", d.maxResident, spillBytesPerEntry)
 		}
-		sh := treemine.NewSupportShard(opts)
-		spillDir = shardPath + ".spill"
-		if err := os.MkdirAll(spillDir, 0o777); err != nil {
-			return err
-		}
-		acc, err = store.NewSpillAccumulator(sh, maxEntries, spillDir)
-		if err != nil {
-			return err
-		}
-		cfg.Resume = sh
-		cfg.AfterRound = acc.AfterRound
 	}
 
 	src := phyloio.OpenTreesRange(m.Inputs, nil, p.Skip, p.Trees)
 	defer src.Close()
-	sh, err := treemine.MineForestStreamShardCtx(ctx, src, opts, cfg)
+	_, rep, err := store.Mine(ctx, src, m.Options.ForestOptions(), cfg)
+	if errors.Is(err, store.ErrTreeCount) {
+		return fmt.Errorf("worker %d mined %d trees, plan assigned %d — the corpus changed since -plan ran",
+			p.Index, rep.Trees, p.Trees)
+	}
 	if err != nil {
 		return fmt.Errorf("worker %d (trees %d..%d): %w", p.Index, p.Skip, p.Skip+p.Trees-1, err)
 	}
-	if sh.Trees() != p.Trees {
-		return fmt.Errorf("worker %d mined %d trees, plan assigned %d — the corpus changed since -plan ran",
-			p.Index, sh.Trees(), p.Trees)
+	if rep.Cleanup != nil {
+		// The shard is already durable; leftover segments only waste
+		// disk, so report and carry on.
+		fmt.Fprintf(os.Stderr, "cousinmine: warning: %v\n", rep.Cleanup)
 	}
-	if acc != nil {
-		segs := acc.Segments()
-		if err := acc.Finish(shardPath); err != nil {
-			return err
-		}
-		if err := os.RemoveAll(spillDir); err != nil {
-			// The shard is already durable; leftover segments only waste
-			// disk, so report and carry on.
-			fmt.Fprintf(os.Stderr, "cousinmine: warning: cannot remove spill directory %s: %v\n", spillDir, err)
-		}
-		fmt.Fprintf(os.Stderr, "cousinmine: worker %d mined trees %d..%d -> %s (%d spill segments)\n",
-			p.Index, p.Skip, p.Skip+p.Trees-1, shardPath, segs)
-		return nil
+	spilled := ""
+	if cfg.SpillEntries > 0 {
+		spilled = fmt.Sprintf(" (%d spill segments)", rep.Segments)
 	}
-	if err := writeShardAtomic(shardPath, sh); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "cousinmine: worker %d mined trees %d..%d -> %s\n",
-		p.Index, p.Skip, p.Skip+p.Trees-1, shardPath)
+	fmt.Fprintf(os.Stderr, "cousinmine: worker %d mined trees %d..%d -> %s%s\n",
+		p.Index, p.Skip, p.Skip+p.Trees-1, shardPath, spilled)
 	return nil
 }
 
@@ -231,32 +188,12 @@ func reMineCmd(manifestPath string, part int) string {
 	return fmt.Sprintf("cousinmine -manifest %s -worker %d", manifestPath, part)
 }
 
-// partitionMergeError renders a merge-blocking partition failure in
-// the CLI's long-standing format, naming the range and its re-mine
-// command.
-func partitionMergeError(m *store.Manifest, manifestPath string, pe *store.PartitionError) error {
-	p := m.Partitions[pe.Index]
-	if pe.Err != nil {
-		return fmt.Errorf("partition %d (trees %d..%d): %w\nre-mine it with: %s",
-			pe.Index, p.Skip, p.Skip+p.Trees-1, pe.Err, reMineCmd(manifestPath, pe.Index))
-	}
-	return fmt.Errorf("partition %d shard covers %d trees, plan assigned %d\nre-mine it with: %s",
-		pe.Index, pe.TreesGot, pe.TreesWant, reMineCmd(manifestPath, pe.Index))
-}
-
-// runMerge folds every partition's shard into the master, checking
-// provenance as it goes: a shard that is missing, torn, mined under
-// different options, or covering the wrong tree count fails the merge
-// with the exact -worker command that re-mines its range. On success
-// the master shard is written beside the manifest and its frequent
-// pairs printed — byte-identical to a single-process run's output.
-//
-// With allowPartial, invalid shards degrade instead of failing: every
-// valid shard is merged (invalid ones are detected before folding, so
-// they never taint the result), the master is written with a .partial
-// suffix, and the exact coverage plus each gap's re-mine command go to
-// stderr. The exit is success as long as at least one shard merged —
-// the partial result is a real, exact mine of the covered ranges.
+// runMerge folds every partition's shard into the master through
+// store.Merge and prints its frequent pairs — byte-identical to a
+// single-process run's output. A partition that fails provenance fails
+// the merge with the -worker command that re-mines its range; under
+// allowPartial it is excluded instead, and the exact coverage and each
+// gap's re-mine command go to stderr.
 func runMerge(manifestPath, format, compact string, allowPartial bool, stdout io.Writer) error {
 	if manifestPath == "" {
 		return fmt.Errorf("-merge requires -manifest")
@@ -265,60 +202,46 @@ func runMerge(manifestPath, format, compact string, allowPartial bool, stdout io
 	if err != nil {
 		return err
 	}
-	opts := m.Options.ForestOptions()
-	master := treemine.NewSupportShard(opts)
-	rep, err := store.FoldManifestShards(master, m, allowPartial)
-	if err != nil {
-		var pe *store.PartitionError
-		if errors.As(err, &pe) {
-			return partitionMergeError(m, manifestPath, pe)
+	master, rep, err := store.Merge(m, allowPartial, compact)
+	var pe *store.PartitionError
+	switch {
+	case errors.As(err, &pe):
+		p, again := m.Partitions[pe.Index], reMineCmd(manifestPath, pe.Index)
+		if pe.Err != nil {
+			return fmt.Errorf("partition %d (trees %d..%d): %w\nre-mine it with: %s",
+				pe.Index, p.Skip, p.Skip+p.Trees-1, pe.Err, again)
 		}
-		return err
-	}
-	if rep.Complete() {
-		if master.Trees() != m.TotalTrees {
-			return fmt.Errorf("merged master covers %d trees, corpus has %d", master.Trees(), m.TotalTrees)
-		}
-		if err := writeShardAtomic(m.MasterPath(), master); err != nil {
-			return err
-		}
-		if compact != "" {
-			if err := store.CompactShardV4(compact, master); err != nil {
-				return fmt.Errorf("compact %s: %w", compact, err)
-			}
-			fmt.Fprintf(os.Stderr, "cousinmine: wrote v4 index %s (%d trees)\n", compact, master.Trees())
-		}
-		return emitMulti(stdout, format, master.Finalize(opts.MinSup), master.Trees())
-	}
-
-	// Partial degradation: some partitions failed provenance.
-	if len(rep.Merged) == 0 {
+		return fmt.Errorf("partition %d shard covers %d trees, plan assigned %d\nre-mine it with: %s",
+			pe.Index, pe.TreesGot, pe.TreesWant, again)
+	case errors.Is(err, store.ErrNothingMerged):
 		return fmt.Errorf("-allow-partial: no partition shard is valid, nothing to merge (mine them with: %s ...)",
 			reMineCmd(manifestPath, 0))
-	}
-	partialPath := m.MasterPath() + ".partial"
-	if err := writeShardAtomic(partialPath, master); err != nil {
+	case err != nil:
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "cousinmine: PARTIAL merge: %d/%d trees covered (%d of %d partitions)\n",
-		rep.TreesMerged, rep.TreesTotal, len(rep.Merged), len(m.Partitions))
-	for _, pe := range rep.Failed {
-		p := m.Partitions[pe.Index]
-		reason := pe.Err
-		if reason == nil {
-			reason = fmt.Errorf("shard covers %d trees, plan assigned %d", pe.TreesGot, pe.TreesWant)
+	if fold := rep.Partitions; !fold.Complete() {
+		fmt.Fprintf(os.Stderr, "cousinmine: PARTIAL merge: %d/%d trees covered (%d of %d partitions)\n",
+			fold.TreesMerged, fold.TreesTotal, len(fold.Merged), len(m.Partitions))
+		for _, pe := range fold.Failed {
+			p := m.Partitions[pe.Index]
+			reason := pe.Err
+			if reason == nil {
+				reason = fmt.Errorf("shard covers %d trees, plan assigned %d", pe.TreesGot, pe.TreesWant)
+			}
+			fmt.Fprintf(os.Stderr, "cousinmine: partition %d (trees %d..%d) excluded: %v\n  re-mine it with: %s\n",
+				pe.Index, p.Skip, p.Skip+p.Trees-1, reason, reMineCmd(manifestPath, pe.Index))
 		}
-		fmt.Fprintf(os.Stderr, "cousinmine: partition %d (trees %d..%d) excluded: %v\n  re-mine it with: %s\n",
-			pe.Index, p.Skip, p.Skip+p.Trees-1, reason, reMineCmd(manifestPath, pe.Index))
+		fmt.Fprintf(os.Stderr, "cousinmine: wrote partial master %s; after re-mining the gaps, rerun: cousinmine -merge -manifest %s\n",
+			m.PartialPath(), manifestPath)
+		if compact != "" {
+			// A partial v4 index would look complete to cousinserve; Merge
+			// wrote none rather than serve silently-wrong supports.
+			fmt.Fprintf(os.Stderr, "cousinmine: skipping -compact %s: the merge is partial\n", compact)
+		}
+	} else if compact != "" {
+		fmt.Fprintf(os.Stderr, "cousinmine: wrote v4 index %s (%d trees)\n", compact, master.Trees())
 	}
-	fmt.Fprintf(os.Stderr, "cousinmine: wrote partial master %s; after re-mining the gaps, rerun: cousinmine -merge -manifest %s\n",
-		partialPath, manifestPath)
-	if compact != "" {
-		// A partial v4 index would look complete to cousinserve; refuse to
-		// write one rather than serve silently-wrong supports.
-		fmt.Fprintf(os.Stderr, "cousinmine: skipping -compact %s: the merge is partial\n", compact)
-	}
-	return emitMulti(stdout, format, master.Finalize(opts.MinSup), master.Trees())
+	return emitMulti(stdout, format, master.Finalize(m.Options.MinSup), master.Trees())
 }
 
 // runDistributed is the end-to-end convenience: plan into a work

@@ -33,7 +33,7 @@ func TestGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder
-			if err := run(context.Background(),append(append([]string{}, tc.args...), input), strings.NewReader(""), &out); err != nil {
+			if err := run(context.Background(), append(append([]string{}, tc.args...), input), strings.NewReader(""), &out); err != nil {
 				t.Fatal(err)
 			}
 			golden := filepath.Join("testdata", tc.name+".golden")
@@ -61,10 +61,10 @@ func TestStreamMatchesBatchOutput(t *testing.T) {
 	input := "testdata/forest.nwk"
 	for _, format := range []string{"table", "json"} {
 		var batch, stream strings.Builder
-		if err := run(context.Background(),[]string{"-mode", "multi", "-format", format, input}, strings.NewReader(""), &batch); err != nil {
+		if err := run(context.Background(), []string{"-mode", "multi", "-format", format, input}, strings.NewReader(""), &batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := run(context.Background(),[]string{"-mode", "multi", "-format", format, "-stream", "-shards", "4", input}, strings.NewReader(""), &stream); err != nil {
+		if err := run(context.Background(), []string{"-mode", "multi", "-format", format, "-stream", "-shards", "4", input}, strings.NewReader(""), &stream); err != nil {
 			t.Fatal(err)
 		}
 		if batch.String() != stream.String() {
@@ -84,7 +84,7 @@ func TestStreamCheckpointFlag(t *testing.T) {
 	args := []string{"-mode", "multi", "-stream", "-checkpoint", ckpt, "-checkpoint-every", "2", input}
 
 	var first strings.Builder
-	if err := run(context.Background(),args, strings.NewReader(""), &first); err != nil {
+	if err := run(context.Background(), args, strings.NewReader(""), &first); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(ckpt); err != nil {
@@ -95,7 +95,7 @@ func TestStreamCheckpointFlag(t *testing.T) {
 	}
 
 	var second strings.Builder
-	if err := run(context.Background(),args, strings.NewReader(""), &second); err != nil {
+	if err := run(context.Background(), args, strings.NewReader(""), &second); err != nil {
 		t.Fatal(err)
 	}
 	if first.String() != second.String() {
@@ -106,7 +106,7 @@ func TestStreamCheckpointFlag(t *testing.T) {
 	if err := os.WriteFile(ckpt, []byte("TREEMINEIDX3garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(),args, strings.NewReader(""), &second); err == nil {
+	if err := run(context.Background(), args, strings.NewReader(""), &second); err == nil {
 		t.Error("corrupt checkpoint accepted")
 	}
 }
@@ -114,7 +114,7 @@ func TestStreamCheckpointFlag(t *testing.T) {
 // TestStreamRequiresMultiMode pins the flag validation.
 func TestStreamRequiresMultiMode(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(),[]string{"-stream"}, strings.NewReader("(a,b);"), &out); err == nil {
+	if err := run(context.Background(), []string{"-stream"}, strings.NewReader("(a,b);"), &out); err == nil {
 		t.Error("-stream without -mode multi accepted")
 	}
 }
@@ -123,7 +123,7 @@ func TestStreamRequiresMultiMode(t *testing.T) {
 // materialized one.
 func TestStreamEmptyInput(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(),[]string{"-mode", "multi", "-stream"}, strings.NewReader(""), &out); err == nil {
+	if err := run(context.Background(), []string{"-mode", "multi", "-stream"}, strings.NewReader(""), &out); err == nil {
 		t.Error("empty input accepted")
 	}
 }

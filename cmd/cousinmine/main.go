@@ -80,46 +80,47 @@ func main() {
 func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cousinmine", flag.ContinueOnError)
 	fs.SetOutput(stdout)
+	df := &distFlags{}
 	mode := fs.String("mode", "single", "mining mode: single (per-tree items) or multi (frequent pairs)")
 	maxDist := fs.String("maxdist", "1.5", "maximum cousin distance (multiple of 0.5)")
 	minOccur := fs.Int("minoccur", 1, "minimum within-tree occurrences")
 	minSup := fs.Int("minsup", 2, "minimum cross-tree support (multi mode)")
 	ignoreDist := fs.Bool("ignoredist", false, "count support ignoring cousin distance (multi mode)")
-	format := fs.String("format", "table", "output format: table or json")
+	fs.StringVar(&df.format, "format", "table", "output format: table or json")
 	stream := fs.Bool("stream", false, "mine without materializing the forest (multi mode)")
-	shards := fs.Int("shards", 0, "streaming worker count; 0 uses all CPUs")
+	fs.IntVar(&df.shards, "shards", 0, "streaming worker count; 0 uses all CPUs")
 	checkpoint := fs.String("checkpoint", "", "shard checkpoint file: written during -stream runs, resumed from when present")
 	ckptEvery := fs.Int("checkpoint-every", 500, "trees mined between checkpoint writes")
-	compact := fs.String("compact", "", "also write the mined shard as a v4 zero-copy index to this file (requires -stream or -merge)")
-	plan := fs.String("plan", "", "write a distributed-mining partition manifest to this file (requires file inputs)")
-	parts := fs.Int("parts", 2, "partition count for -plan")
-	worker := fs.Int("worker", -1, "mine one partition (by index) of -manifest to its shard file")
-	manifest := fs.String("manifest", "", "partition manifest consumed by -worker and -merge")
-	mergeMode := fs.Bool("merge", false, "fold the worker shards named by -manifest into the master shard and print its frequent pairs")
-	distributed := fs.Int("distributed", 0, "run plan -> N local worker processes -> merge end to end")
-	workdir := fs.String("workdir", "", "work directory for -distributed (default: a temp dir, removed on success)")
-	maxResident := fs.String("max-resident", "", "worker resident-memory budget (e.g. 64M); past it support counts spill to sorted disk segments")
-	distWorkers := fs.Int("dist-workers", 0, "concurrent worker processes for -distributed; 0 uses all CPUs")
-	retries := fs.Int("retries", 3, "per-partition retry budget for -distributed supervision")
-	backoff := fs.Duration("backoff", 250*time.Millisecond, "initial retry backoff for -distributed; doubles per retry, with deterministic jitter")
-	attemptTimeout := fs.Duration("attempt-timeout", 0, "per-attempt timeout for -distributed workers; 0 disables")
-	stragglerFactor := fs.Float64("straggler-factor", 3, "speculatively re-execute a -distributed worker past this multiple of the median attempt duration; 0 disables")
-	allowPartial := fs.Bool("allow-partial", false, "degrade instead of failing: merge the valid shards, report exact coverage and the re-mine command for each gap")
+	fs.StringVar(&df.compact, "compact", "", "also write the mined shard as a v4 zero-copy index to this file (requires -stream or -merge)")
+	fs.StringVar(&df.plan, "plan", "", "write a distributed-mining partition manifest to this file (requires file inputs)")
+	fs.IntVar(&df.parts, "parts", 2, "partition count for -plan")
+	fs.IntVar(&df.worker, "worker", -1, "mine one partition (by index) of -manifest to its shard file")
+	fs.StringVar(&df.manifest, "manifest", "", "partition manifest consumed by -worker and -merge")
+	fs.BoolVar(&df.merge, "merge", false, "fold the worker shards named by -manifest into the master shard and print its frequent pairs")
+	fs.IntVar(&df.distributed, "distributed", 0, "run plan -> N local worker processes -> merge end to end")
+	fs.StringVar(&df.workdir, "workdir", "", "work directory for -distributed (default: a temp dir, removed on success)")
+	fs.StringVar(&df.maxResident, "max-resident", "", "worker resident-memory budget (e.g. 64M); past it support counts spill to sorted disk segments")
+	fs.IntVar(&df.distWorkers, "dist-workers", 0, "concurrent worker processes for -distributed; 0 uses all CPUs")
+	fs.IntVar(&df.retries, "retries", 3, "per-partition retry budget for -distributed supervision")
+	fs.DurationVar(&df.backoff, "backoff", 250*time.Millisecond, "initial retry backoff for -distributed; doubles per retry, with deterministic jitter")
+	fs.DurationVar(&df.attemptTimeout, "attempt-timeout", 0, "per-attempt timeout for -distributed workers; 0 disables")
+	fs.Float64Var(&df.stragglerFactor, "straggler-factor", 3, "speculatively re-execute a -distributed worker past this multiple of the median attempt duration; 0 disables")
+	fs.BoolVar(&df.allowPartial, "allow-partial", false, "degrade instead of failing: merge the valid shards, report exact coverage and the re-mine command for each gap")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	for _, name := range []string{"dist-workers", "retries", "backoff", "attempt-timeout", "straggler-factor"} {
-		if set[name] && *distributed == 0 {
+		if set[name] && df.distributed == 0 {
 			return fmt.Errorf("-%s supervises -distributed workers; use it with -distributed", name)
 		}
 	}
-	if set["allow-partial"] && !*mergeMode && *distributed == 0 {
+	if set["allow-partial"] && !df.merge && df.distributed == 0 {
 		return fmt.Errorf("-allow-partial degrades a merge; use it with -merge or -distributed")
 	}
-	if *format != "table" && *format != "json" {
-		return fmt.Errorf("unknown format %q (want table or json)", *format)
+	if df.format != "table" && df.format != "json" {
+		return fmt.Errorf("unknown format %q (want table or json)", df.format)
 	}
 
 	d, err := treemine.ParseDist(*maxDist)
@@ -131,29 +132,18 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 	}
 	opts := treemine.Options{MaxDist: d, MinOccur: *minOccur}
 
-	df := &distFlags{
-		plan: *plan, parts: *parts, worker: *worker, manifest: *manifest,
-		merge: *mergeMode, distributed: *distributed, workdir: *workdir,
-		maxResident: *maxResident, shards: *shards, format: *format, compact: *compact,
-		distWorkers: *distWorkers, retries: *retries, backoff: *backoff,
-		attemptTimeout: *attemptTimeout, stragglerFactor: *stragglerFactor,
-		allowPartial: *allowPartial,
+	if df.active() && (*stream || *checkpoint != "") {
+		return fmt.Errorf("the distributed modes manage their own streaming; drop -stream and -checkpoint")
 	}
-	if df.active() {
-		if *stream || *checkpoint != "" {
-			return fmt.Errorf("the distributed modes manage their own streaming; drop -stream and -checkpoint")
-		}
-		if *maxResident != "" && df.worker < 0 && df.distributed == 0 {
-			return fmt.Errorf("-max-resident applies to workers; use it with -worker or -distributed")
-		}
-		fopts := treemine.ForestOptions{Options: opts, MinSup: *minSup, IgnoreDist: *ignoreDist}
-		return runDist(ctx, df, fs.Args(), fopts, stdout)
-	}
-	if *maxResident != "" {
+	if df.maxResident != "" && df.worker < 0 && df.distributed == 0 {
 		return fmt.Errorf("-max-resident applies to workers; use it with -worker or -distributed")
 	}
+	fopts := treemine.ForestOptions{Options: opts, MinSup: *minSup, IgnoreDist: *ignoreDist}
+	if df.active() {
+		return runDist(ctx, df, fs.Args(), fopts, stdout)
+	}
 
-	if *compact != "" && !*stream {
+	if df.compact != "" && !*stream {
 		return fmt.Errorf("-compact requires -stream (the shard to compact is the stream's result)")
 	}
 
@@ -161,19 +151,27 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		if *mode != "multi" {
 			return fmt.Errorf("-stream requires -mode multi")
 		}
-		fopts := treemine.ForestOptions{
-			Options:    opts,
-			MinSup:     *minSup,
-			IgnoreDist: *ignoreDist,
+		// The bounded-memory pipeline: with -checkpoint, an interrupted run
+		// flushes the shard mined so far, and rerunning resumes from it.
+		src := phyloio.OpenTrees(fs.Args(), stdin)
+		defer src.Close()
+		sh, rep, err := store.Mine(ctx, src, fopts, store.MineConfig{
+			Workers: df.shards, Checkpoint: *checkpoint, CheckpointEvery: *ckptEvery, Compact: df.compact,
+		})
+		if errors.Is(err, context.Canceled) && *checkpoint != "" {
+			fmt.Fprintf(os.Stderr, "cousinmine: interrupted after %d trees; checkpoint %s is resumable\n",
+				rep.Trees, *checkpoint)
 		}
-		fp, nTrees, err := mineStream(ctx, fs.Args(), stdin, fopts, *shards, *checkpoint, *ckptEvery, *compact)
 		if err != nil {
 			return err
 		}
-		if nTrees == 0 {
+		if df.compact != "" {
+			fmt.Fprintf(os.Stderr, "cousinmine: wrote v4 index %s (%d trees)\n", df.compact, sh.Trees())
+		}
+		if sh.Trees() == 0 {
 			return fmt.Errorf("no input trees")
 		}
-		return emitMulti(stdout, *format, fp, nTrees)
+		return emitMulti(stdout, df.format, sh.Finalize(fopts.MinSup), sh.Trees())
 	}
 
 	trees, err := phyloio.ReadTrees(fs.Args(), stdin)
@@ -194,7 +192,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		var all []treeItems
 		for i, t := range trees {
 			items := treemine.Mine(t, opts)
-			if *format == "json" {
+			if df.format == "json" {
 				all = append(all, treeItems{Tree: i + 1, Nodes: t.Size(), Items: items.Items()})
 				continue
 			}
@@ -206,17 +204,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 			tb.Fprint(stdout)
 			fmt.Fprintln(stdout)
 		}
-		if *format == "json" {
+		if df.format == "json" {
 			return writeJSON(stdout, all)
 		}
 	case "multi":
-		fopts := treemine.ForestOptions{
-			Options:    opts,
-			MinSup:     *minSup,
-			IgnoreDist: *ignoreDist,
-		}
 		fp := treemine.MineForest(trees, fopts)
-		return emitMulti(stdout, *format, fp, len(trees))
+		return emitMulti(stdout, df.format, fp, len(trees))
 	default:
 		return fmt.Errorf("unknown mode %q (want single or multi)", *mode)
 	}
@@ -236,65 +229,6 @@ func emitMulti(stdout io.Writer, format string, fp []treemine.FrequentPair, nTre
 	tb.Fprint(stdout)
 	fmt.Fprintf(stdout, "\n%d frequent pairs across %d trees\n", len(fp), nTrees)
 	return nil
-}
-
-// mineStream runs the bounded-memory pipeline over the inputs,
-// optionally checkpointing the partial shard to (and resuming it from)
-// the named file. On cancellation the drained shard is flushed to the
-// checkpoint before the context error is returned, so an interrupted
-// run resumes exactly where it stopped.
-func mineStream(ctx context.Context, files []string, stdin io.Reader, fopts treemine.ForestOptions, shards int, checkpoint string, every int, compact string) ([]treemine.FrequentPair, int, error) {
-	cfg := treemine.StreamConfig{Workers: shards}
-	if checkpoint != "" {
-		if f, err := os.Open(checkpoint); err == nil {
-			sh, lerr := store.LoadShard(f)
-			f.Close()
-			if lerr != nil {
-				return nil, 0, fmt.Errorf("resume %s: %w", checkpoint, lerr)
-			}
-			cfg.Resume = sh
-			cfg.SkipTrees = sh.Trees()
-		} else if !os.IsNotExist(err) {
-			return nil, 0, err
-		}
-		cfg.CheckpointEvery = every
-		cfg.Checkpoint = func(sh *treemine.SupportShard) error {
-			return writeShardAtomic(checkpoint, sh)
-		}
-	}
-
-	src := phyloio.OpenTrees(files, stdin)
-	defer src.Close()
-	sh, err := treemine.MineForestStreamShardCtx(ctx, src, fopts, cfg)
-	if err != nil {
-		if errors.Is(err, context.Canceled) && checkpoint != "" && sh != nil {
-			if werr := writeShardAtomic(checkpoint, sh); werr != nil {
-				return nil, 0, fmt.Errorf("final checkpoint after interrupt: %w", werr)
-			}
-			fmt.Fprintf(os.Stderr, "cousinmine: interrupted after %d trees; checkpoint %s is resumable\n",
-				sh.Trees(), checkpoint)
-		}
-		return nil, 0, err
-	}
-	if compact != "" {
-		// The compacted file is written atomically after the stream
-		// completes, so an interrupted run leaves any previous compaction
-		// intact and never a torn one.
-		if err := store.CompactShardV4(compact, sh); err != nil {
-			return nil, 0, fmt.Errorf("compact %s: %w", compact, err)
-		}
-		fmt.Fprintf(os.Stderr, "cousinmine: wrote v4 index %s (%d trees)\n", compact, sh.Trees())
-	}
-	return sh.Finalize(fopts.MinSup), sh.Trees(), nil
-}
-
-// writeShardAtomic persists the shard durably (temp file, fsync,
-// rename, directory fsync), so a crash at any point never corrupts the
-// previous checkpoint.
-func writeShardAtomic(path string, sh *treemine.SupportShard) error {
-	return store.AtomicWrite(path, func(w io.Writer) error {
-		return store.SaveShard(w, sh)
-	})
 }
 
 func writeJSON(w io.Writer, v any) error {

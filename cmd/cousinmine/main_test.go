@@ -12,7 +12,7 @@ import (
 func TestRunSingleMode(t *testing.T) {
 	var out strings.Builder
 	in := strings.NewReader("((a,b),(c,d));")
-	if err := run(context.Background(),nil, in, &out); err != nil {
+	if err := run(context.Background(), nil, in, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -26,7 +26,7 @@ func TestRunSingleMode(t *testing.T) {
 func TestRunMultiMode(t *testing.T) {
 	var out strings.Builder
 	in := strings.NewReader("((a,b),c);((a,b),d);")
-	if err := run(context.Background(),[]string{"-mode", "multi"}, in, &out); err != nil {
+	if err := run(context.Background(), []string{"-mode", "multi"}, in, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -40,7 +40,7 @@ func TestRunMultiIgnoreDist(t *testing.T) {
 	// (a,b) at distance 0 in one tree, 1 in the other: only frequent
 	// when the distance is wildcarded.
 	in := strings.NewReader("((a,b),c);((a,x),(b,y));")
-	if err := run(context.Background(),[]string{"-mode", "multi", "-ignoredist"}, in, &out); err != nil {
+	if err := run(context.Background(), []string{"-mode", "multi", "-ignoredist"}, in, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "*") {
@@ -55,7 +55,7 @@ func TestRunFromFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := run(context.Background(),[]string{f}, strings.NewReader(""), &out); err != nil {
+	if err := run(context.Background(), []string{f}, strings.NewReader(""), &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "x") {
@@ -66,7 +66,7 @@ func TestRunFromFile(t *testing.T) {
 func TestRunNexusInput(t *testing.T) {
 	in := "#NEXUS\nBEGIN TREES;\nTRANSLATE 1 Gnetum, 2 Welwitschia, 3 Ephedra;\nTREE t = ((1,2),3);\nEND;\n"
 	var out strings.Builder
-	if err := run(context.Background(),nil, strings.NewReader(in), &out); err != nil {
+	if err := run(context.Background(), nil, strings.NewReader(in), &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Gnetum") || !strings.Contains(out.String(), "Welwitschia") {
@@ -83,17 +83,17 @@ func TestRunErrors(t *testing.T) {
 	}
 	for _, args := range cases {
 		var out strings.Builder
-		if err := run(context.Background(),args, strings.NewReader("(a,b);"), &out); err == nil {
+		if err := run(context.Background(), args, strings.NewReader("(a,b);"), &out); err == nil {
 			t.Errorf("run(%v): expected error", args)
 		}
 	}
 	// Empty input.
 	var out strings.Builder
-	if err := run(context.Background(),nil, strings.NewReader(""), &out); err == nil {
+	if err := run(context.Background(), nil, strings.NewReader(""), &out); err == nil {
 		t.Error("empty input accepted")
 	}
 	// Malformed Newick.
-	if err := run(context.Background(),nil, strings.NewReader("((a,b);"), &out); err == nil {
+	if err := run(context.Background(), nil, strings.NewReader("((a,b);"), &out); err == nil {
 		t.Error("malformed newick accepted")
 	}
 }
@@ -101,7 +101,7 @@ func TestRunErrors(t *testing.T) {
 func TestRunJSONFormats(t *testing.T) {
 	var out strings.Builder
 	in := strings.NewReader("((a,b),c);")
-	if err := run(context.Background(),[]string{"-format", "json"}, in, &out); err != nil {
+	if err := run(context.Background(), []string{"-format", "json"}, in, &out); err != nil {
 		t.Fatal(err)
 	}
 	var single []struct {
@@ -127,7 +127,7 @@ func TestRunJSONFormats(t *testing.T) {
 
 	out.Reset()
 	in = strings.NewReader("((a,b),c);((a,b),d);")
-	if err := run(context.Background(),[]string{"-mode", "multi", "-format", "json"}, in, &out); err != nil {
+	if err := run(context.Background(), []string{"-mode", "multi", "-format", "json"}, in, &out); err != nil {
 		t.Fatal(err)
 	}
 	var multi []struct {
@@ -142,7 +142,7 @@ func TestRunJSONFormats(t *testing.T) {
 	}
 
 	var sink strings.Builder
-	if err := run(context.Background(),[]string{"-format", "yaml"}, strings.NewReader("(a,b);"), &sink); err == nil {
+	if err := run(context.Background(), []string{"-format", "yaml"}, strings.NewReader("(a,b);"), &sink); err == nil {
 		t.Fatal("unknown format accepted")
 	}
 }
@@ -150,7 +150,7 @@ func TestRunJSONFormats(t *testing.T) {
 func TestRunMinOccurFlag(t *testing.T) {
 	var out strings.Builder
 	in := strings.NewReader("((a,b),(a,b));")
-	if err := run(context.Background(),[]string{"-minoccur", "2"}, in, &out); err != nil {
+	if err := run(context.Background(), []string{"-minoccur", "2"}, in, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()

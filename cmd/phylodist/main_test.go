@@ -14,7 +14,7 @@ func TestMatrixOutput(t *testing.T) {
 		"rf", "triplet", "updown", "edit",
 	} {
 		var out strings.Builder
-		err := run(context.Background(),[]string{"-measure", measure}, strings.NewReader(fourTrees), &out)
+		err := run(context.Background(), []string{"-measure", measure}, strings.NewReader(fourTrees), &out)
 		if err != nil {
 			t.Fatalf("%s: %v", measure, err)
 		}
@@ -28,7 +28,7 @@ func TestMatrixOutput(t *testing.T) {
 func TestClusterModes(t *testing.T) {
 	for _, linkage := range []string{"single", "complete", "average", "kmedoids"} {
 		var out strings.Builder
-		err := run(context.Background(),[]string{"-cluster", "2", "-linkage", linkage},
+		err := run(context.Background(), []string{"-cluster", "2", "-linkage", linkage},
 			strings.NewReader(fourTrees), &out)
 		if err != nil {
 			t.Fatalf("%s: %v", linkage, err)
@@ -41,7 +41,7 @@ func TestClusterModes(t *testing.T) {
 
 func TestClusterSeparatesTopologies(t *testing.T) {
 	var out strings.Builder
-	err := run(context.Background(),[]string{"-cluster", "2", "-linkage", "kmedoids"},
+	err := run(context.Background(), []string{"-cluster", "2", "-linkage", "kmedoids"},
 		strings.NewReader(fourTrees), &out)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestClusterSeparatesTopologies(t *testing.T) {
 func TestNexusInput(t *testing.T) {
 	in := "#NEXUS\nBEGIN TREES;\nTREE a = ((a,b),c);\nTREE b = ((a,c),b);\nEND;\n"
 	var out strings.Builder
-	if err := run(context.Background(),nil, strings.NewReader(in), &out); err != nil {
+	if err := run(context.Background(), nil, strings.NewReader(in), &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "T2") {
@@ -72,12 +72,12 @@ func TestErrors(t *testing.T) {
 		{[]string{"-maxdist", "zzz"}, fourTrees},
 		{[]string{"-cluster", "2", "-linkage", "bogus"}, fourTrees},
 		{[]string{"-cluster", "9"}, fourTrees},
-		{nil, "(a,b);"},                      // one tree
+		{nil, "(a,b);"},                                      // one tree
 		{[]string{"-measure", "rf"}, "((a,b),c);((x,y),z);"}, // RF taxa mismatch
 	}
 	for _, c := range cases {
 		var out strings.Builder
-		if err := run(context.Background(),c.args, strings.NewReader(c.in), &out); err == nil {
+		if err := run(context.Background(), c.args, strings.NewReader(c.in), &out); err == nil {
 			t.Errorf("run(%v): expected error", c.args)
 		}
 	}

@@ -60,10 +60,10 @@ func TestErrors(t *testing.T) {
 		args []string
 		in   string
 	}{
-		{nil, ""},                       // no trees
-		{[]string{"-kernel"}, ""},       // too few groups
+		{nil, ""},                 // no trees
+		{[]string{"-kernel"}, ""}, // too few groups
 		{[]string{"-kernel", "/nonexistent1", "/nonexistent2"}, ""},
-		{nil, "((a,b);"},                // bad newick
+		{nil, "((a,b);"}, // bad newick
 	}
 	for _, c := range cases {
 		var out strings.Builder

@@ -86,14 +86,14 @@ func TestDistOf(t *testing.T) {
 		want   Dist
 		ok     bool
 	}{
-		{1, 1, D(0), true},  // siblings
-		{1, 2, D(1), true},  // aunt–niece
-		{2, 1, D(1), true},  // symmetric
-		{2, 2, D(2), true},  // first cousins
-		{2, 3, D(3), true},  // first cousins once removed
-		{3, 3, D(4), true},  // second cousins
-		{3, 4, D(5), true},  // second cousins once removed
-		{1, 3, 0, false},    // twice removed: undefined
+		{1, 1, D(0), true}, // siblings
+		{1, 2, D(1), true}, // aunt–niece
+		{2, 1, D(1), true}, // symmetric
+		{2, 2, D(2), true}, // first cousins
+		{2, 3, D(3), true}, // first cousins once removed
+		{3, 3, D(4), true}, // second cousins
+		{3, 4, D(5), true}, // second cousins once removed
+		{1, 3, 0, false},   // twice removed: undefined
 		{4, 1, 0, false},
 	}
 	for _, c := range cases {

@@ -11,13 +11,13 @@ import (
 
 // handTree builds the fully hand-analyzed example
 //
-//	        r(unlabeled)
-//	       /     |    \
-//	      a      b     u(unlabeled)
-//	     / \     |      \
-//	    c   d    e       f
-//	    |
-//	    g
+//	    r(unlabeled)
+//	   /     |    \
+//	  a      b     u(unlabeled)
+//	 / \     |      \
+//	c   d    e       f
+//	|
+//	g
 func handTree(t *testing.T) *tree.Tree {
 	t.Helper()
 	b := tree.NewBuilder()

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"treemine/internal/tree"
 	"treemine/internal/lca"
+	"treemine/internal/tree"
 )
 
 // NaiveMine computes the same ItemSet as Mine by brute force: it examines

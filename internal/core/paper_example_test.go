@@ -27,11 +27,11 @@ import (
 
 // paperT2 builds the reconstructed T2:
 //
-//	     1(unlabeled)
-//	     /         \
-//	    2:a         3:a
-//	     |           |
-//	    5:c         6:c
+//	 1(unlabeled)
+//	 /         \
+//	2:a         3:a
+//	 |           |
+//	5:c         6:c
 func paperT2() *tree.Tree {
 	b := tree.NewBuilder()
 	r := b.RootUnlabeled()

@@ -332,7 +332,7 @@ func (sh *SupportShard) DrainSorted() ([]ShardItem, error) {
 		}
 		items = append(items, ShardItem{A: a, B: b, D: k.Dist(), N: n})
 	}
-	sortShardItems(items)
+	SortShardItems(items)
 	for i := range items {
 		items[i].A, items[i].B = sh.byLabel[items[i].A], sh.byLabel[items[i].B]
 	}
@@ -406,7 +406,7 @@ type ShardItem struct {
 func (sh *SupportShard) Snapshot() (opts ForestOptions, trees int, labels []string, items []ShardItem) {
 	trees, labels, items, sorted := sh.canonical()
 	if !sorted {
-		sortShardItems(items)
+		SortShardItems(items)
 	}
 	return sh.opts, trees, labels, items
 }

@@ -2,7 +2,7 @@ package core
 
 import "math/bits"
 
-// radixCutoff is the bucket size below which sortShardItems finishes a
+// radixCutoff is the bucket size below which SortShardItems finishes a
 // bucket with insertion sort instead of another radix pass.
 const radixCutoff = 32
 
@@ -41,14 +41,14 @@ func (p *radixPlan) digit(it *ShardItem, lvl int) byte {
 	}
 }
 
-// sortShardItems orders items by (A, B, D) — the canonical Snapshot and
+// SortShardItems orders items by (A, B, D) — the canonical Snapshot and
 // spill-run order — with an in-place MSD radix (American flag) sort over
 // 8-bit digits. Digit counts come from the largest A and B and the span
 // of D, so DistWild and generic distances sort like any other value.
 // Buckets below radixCutoff finish with insertion sort. The sort needs
-// no scratch proportional to len(items) and is not stable; callers sort
-// distinct keys, where stability is moot.
-func sortShardItems(items []ShardItem) {
+// no scratch proportional to len(items) and is not stable: N rides
+// along as payload, and equal keys come out in no particular order.
+func SortShardItems(items []ShardItem) {
 	if len(items) <= radixCutoff {
 		insertionSortShardItems(items)
 		return

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// sortShardItemsOracle is the comparator sort sortShardItems replaced,
+// sortShardItemsOracle is the comparator sort SortShardItems replaced,
 // kept as its differential oracle.
 func sortShardItemsOracle(items []ShardItem) {
 	slices.SortFunc(items, compareShardItems)
@@ -21,7 +21,7 @@ func sortShardItemsOracle(items []ShardItem) {
 func checkSortShardItems(t *testing.T, items []ShardItem) {
 	t.Helper()
 	got, want := slices.Clone(items), slices.Clone(items)
-	sortShardItems(got)
+	SortShardItems(got)
 	sortShardItemsOracle(want)
 	for i := range want {
 		if compareShardItems(got[i], want[i]) != 0 {
@@ -144,7 +144,7 @@ func TestSortShardItemsAllocs(t *testing.T) {
 		items := make([]ShardItem, n)
 		counts[n] = testing.AllocsPerRun(5, func() {
 			copy(items, src)
-			sortShardItems(items)
+			SortShardItems(items)
 		})
 	}
 	t.Logf("allocations per sort: %v at 1,000 items, %v at 100,000", counts[1000], counts[100000])

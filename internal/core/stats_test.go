@@ -8,10 +8,10 @@ import (
 
 func TestDistHistogram(t *testing.T) {
 	s := ItemSet{
-		NewKey("a", "b", D(0)):            2,
-		NewKey("c", "d", D(0)):            1,
-		NewKey("a", "c", D(3)):            4,
-		{A: "x", B: "y", D: DistWild}:     9, // wildcard excluded
+		NewKey("a", "b", D(0)):        2,
+		NewKey("c", "d", D(0)):        1,
+		NewKey("a", "c", D(3)):        4,
+		{A: "x", B: "y", D: DistWild}: 9, // wildcard excluded
 	}
 	got := s.DistHistogram()
 	want := map[Dist]int{D(0): 3, D(3): 4}

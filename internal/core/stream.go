@@ -20,6 +20,14 @@ type TreeIterator interface {
 	Next() (*tree.Tree, error)
 }
 
+// skimmer is the optional fast-skip capability of a TreeIterator:
+// consume the next tree without building it. A resumed stream skips the
+// prefix its checkpoint covers with it (the Newick source chunk-scans
+// instead of parsing).
+type skimmer interface {
+	Skim() error
+}
+
 // sliceIterator adapts an in-memory forest to the TreeIterator interface.
 type sliceIterator struct {
 	trees []*tree.Tree
@@ -72,7 +80,8 @@ type StreamConfig struct {
 	Resume *SupportShard
 	// SkipTrees discards this many leading trees from the iterator
 	// before mining — set it to Resume.Trees() when replaying the same
-	// stream a checkpointed run was consuming.
+	// stream a checkpointed run was consuming. An iterator with a
+	// Skim() error method is skimmed past them instead of built.
 	SkipTrees int
 }
 
@@ -144,11 +153,15 @@ func MineForestStreamShardCtx(ctx context.Context, it TreeIterator, opts ForestO
 	// next tree the iterator will yield — used to name the offending
 	// tree in iterator and worker errors.
 	streamed := 0
+	skip := func() error { _, err := it.Next(); return err }
+	if sk, ok := it.(skimmer); ok {
+		skip = sk.Skim
+	}
 	for ; streamed < cfg.SkipTrees; streamed++ {
 		if err := ctx.Err(); err != nil {
 			return master, err
 		}
-		if _, err := it.Next(); err != nil {
+		if err := skip(); err != nil {
 			if err == io.EOF {
 				return master, nil
 			}

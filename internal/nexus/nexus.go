@@ -76,8 +76,8 @@ func Parse(r io.Reader) (*File, error) {
 // tokenize splits NEXUS input into punctuation and word tokens. Comments
 // in square brackets vanish except command-level comments like [&R],
 // which the grammar treats as markers; those are preserved as tokens.
-// Quoted words keep their content with '' unescaped; unquoted words get
-// the NEXUS underscore-to-space rule applied.
+// Quoted words keep their content with each doubled quote unescaped;
+// unquoted words get the NEXUS underscore-to-space rule applied.
 func tokenize(s string) []string {
 	var toks []string
 	i := 0

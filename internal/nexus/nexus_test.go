@@ -91,14 +91,14 @@ func TestParseUntranslatedLabels(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"",                                    // missing header
-		"BEGIN TREES; END;",                   // missing #NEXUS
+		"",                                     // missing header
+		"BEGIN TREES; END;",                    // missing #NEXUS
 		"#NEXUS\nBEGIN TREES;\nTREE t = (a,b)", // unterminated tree
-		"#NEXUS\nBEGIN TREES;\n",              // unterminated block
-		"#NEXUS\nBEGIN TAXA;\nTAXLABELS a b",  // unterminated taxlabels
-		"#NEXUS\nBEGIN FOO;\nstuff",           // unterminated unknown block
+		"#NEXUS\nBEGIN TREES;\n",               // unterminated block
+		"#NEXUS\nBEGIN TAXA;\nTAXLABELS a b",   // unterminated taxlabels
+		"#NEXUS\nBEGIN FOO;\nstuff",            // unterminated unknown block
 		"#NEXUS\nBEGIN TREES;\nTREE t = ((a,b);\nEND;", // bad newick
-		"#NEXUS\nstray tokens",                // not a block
+		"#NEXUS\nstray tokens",                         // not a block
 	}
 	for _, in := range cases {
 		if _, err := Parse(strings.NewReader(in)); err == nil {
@@ -149,11 +149,11 @@ func TestParseTranslateWithoutComma(t *testing.T) {
 
 func TestParseErrorsMore(t *testing.T) {
 	cases := []string{
-		"#NEXUS\nBEGIN TAXA;\nTAXLABELS a b;\n",          // unterminated TAXA block
-		"#NEXUS\nBEGIN TREES;\nTRANSLATE 1",              // truncated translate
-		"#NEXUS\nBEGIN TREES;\nTREE t (a,b);\nEND;",      // missing '='
-		"#NEXUS\nBEGIN TAXA;\nDIMENSIONS NTAX=2",         // unterminated command
-		"#NEXUS\nBEGIN FOO;\nEND",                        // END without ';'
+		"#NEXUS\nBEGIN TAXA;\nTAXLABELS a b;\n",     // unterminated TAXA block
+		"#NEXUS\nBEGIN TREES;\nTRANSLATE 1",         // truncated translate
+		"#NEXUS\nBEGIN TREES;\nTREE t (a,b);\nEND;", // missing '='
+		"#NEXUS\nBEGIN TAXA;\nDIMENSIONS NTAX=2",    // unterminated command
+		"#NEXUS\nBEGIN FOO;\nEND",                   // END without ';'
 	}
 	for _, in := range cases {
 		if _, err := Parse(strings.NewReader(in)); err == nil {

@@ -33,10 +33,10 @@ func sprApply(t *tree.Tree, prune, parent, sibling, target tree.NodeID) *tree.Tr
 	type assign struct{ node, parent tree.NodeID }
 	virtual := tree.NodeID(t.Size()) // the new regraft node
 	moves := []assign{
-		{sibling, grand},   // sibling replaces parent (grand may be None: new root)
-		{virtual, tp},      // regraft node subdivides (tp, target)
-		{target, virtual},  // target hangs under the regraft node
-		{prune, virtual},   // pruned subtree hangs under the regraft node
+		{sibling, grand},  // sibling replaces parent (grand may be None: new root)
+		{virtual, tp},     // regraft node subdivides (tp, target)
+		{target, virtual}, // target hangs under the regraft node
+		{prune, virtual},  // pruned subtree hangs under the regraft node
 	}
 	parentOf := make([]tree.NodeID, t.Size()+1)
 	for i := 0; i < t.Size(); i++ {

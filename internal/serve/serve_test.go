@@ -236,15 +236,15 @@ func TestShardBackendCapabilities(t *testing.T) {
 // fuzzer explores beyond them.
 func TestParseQueryValidation(t *testing.T) {
 	bad := []string{
-		"l2=b&dist=0",              // missing l1
-		"l1=a&dist=0",              // missing l2
-		"l1=&l2=b",                 // empty label
-		"l1=a&l2=b&dist=abc",       // unparsable distance
-		"l1=a&l2=b&dist=-0.5",      // negative distance
-		"l1=a&l2=b&dist=0.3",       // not a half multiple
-		"l1=a&l2=b&dist=99999999",  // beyond maxQueryDist
-		"l1=a&l2=b&nope=1",         // unknown parameter
-		"l1=a&l1=b&l2=c",           // repeated parameter
+		"l2=b&dist=0",             // missing l1
+		"l1=a&dist=0",             // missing l2
+		"l1=&l2=b",                // empty label
+		"l1=a&l2=b&dist=abc",      // unparsable distance
+		"l1=a&l2=b&dist=-0.5",     // negative distance
+		"l1=a&l2=b&dist=0.3",      // not a half multiple
+		"l1=a&l2=b&dist=99999999", // beyond maxQueryDist
+		"l1=a&l2=b&nope=1",        // unknown parameter
+		"l1=a&l1=b&l2=c",          // repeated parameter
 		"l1=" + strings.Repeat("x", maxNameLen+1) + "&l2=b", // oversized label
 	}
 	for _, raw := range bad {

@@ -262,3 +262,6 @@ func (m *Manifest) ShardPath(i int) string {
 func (m *Manifest) MasterPath() string {
 	return filepath.Join(m.dir, m.Master)
 }
+
+// PartialPath is where a partial merge writes its master.
+func (m *Manifest) PartialPath() string { return m.MasterPath() + ".partial" }

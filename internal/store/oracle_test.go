@@ -19,17 +19,20 @@ func (ix *Index) ItemSets() []core.ItemSet {
 // at distance d; DistWild counts trees containing the pair at any
 // distance.
 func (ix *Index) Support(l1, l2 string, d core.Dist) int {
-	if !d.IsWild() {
-		return ix.supportTable()[core.NewKey(l1, l2, d)]
-	}
 	return core.SupportOf(ix.ItemSets(), l1, l2, d)
 }
 
 // Frequent returns the pairs with support ≥ minSup, sorted like
 // core.MineForest's output.
 func (ix *Index) Frequent(minSup int) []core.FrequentPair {
+	support := map[core.Key]int{}
+	for _, e := range ix.Entries {
+		for k := range e.Items {
+			support[k]++
+		}
+	}
 	var out []core.FrequentPair
-	for k, s := range ix.supportTable() {
+	for k, s := range support {
 		if s >= minSup {
 			out = append(out, core.FrequentPair{Key: k, Support: s})
 		}

@@ -6,21 +6,6 @@ import (
 	"treemine/internal/core"
 )
 
-// Partial-merge degradation (DESIGN.md §52). The merge's default
-// contract is all-or-nothing: any partition whose shard is missing,
-// torn, mis-optioned, or covering the wrong tree count fails the whole
-// fold, naming the range to re-mine. FoldManifestShards is the fold
-// underneath both that mode and the degraded one: with keepGoing set,
-// provenance-valid shards are folded, invalid partitions are collected
-// instead of fatal, and the report says exactly what the resulting
-// master covers — so a run with one permanently dead worker still
-// yields usable (under-counted) results plus a precise repair list.
-//
-// Every shard is verified (VerifyShardFile: checksums, options, tree
-// tally) before it is folded, never after — a shard that fails
-// provenance must not have touched the master, or the partial result
-// would be silently wrong rather than honestly incomplete.
-
 // PartitionError reports one partition whose shard could not be
 // merged, with enough structure for callers to format repair guidance.
 type PartitionError struct {
@@ -62,42 +47,36 @@ type FoldReport struct {
 // Complete reports whether every partition folded.
 func (r *FoldReport) Complete() bool { return len(r.Failed) == 0 }
 
-// FoldManifestShards folds every partition's shard into master,
-// verifying provenance before each fold. Without keepGoing it stops at
-// the first invalid partition, returning its *PartitionError (the
-// report still describes what had folded by then). With keepGoing it
-// folds every valid shard, collects the invalid partitions in the
+// FoldManifestShards is the fold under Merge (DESIGN.md §52). It folds
+// every partition's shard into master, verifying provenance (checksums,
+// options, tree tally) before each fold, never after: a shard that
+// fails must not touch the master, or a partial result would be
+// silently wrong rather than honestly incomplete. Without keepGoing it
+// stops at the first invalid partition, returning its *PartitionError
+// (the report still describes what had folded by then). With keepGoing
+// it folds every valid shard, collects the invalid partitions in the
 // report, and returns a nil error — degradation is the caller's call
 // to make, and the report carries the exact coverage.
 func FoldManifestShards(master *core.SupportShard, m *Manifest, keepGoing bool) (*FoldReport, error) {
-	opts := m.Options.ForestOptions()
 	rep := &FoldReport{TreesTotal: m.TotalTrees}
 	for _, p := range m.Partitions {
 		path := m.ShardPath(p.Index)
-		perr := func() *PartitionError {
-			trees, err := VerifyShardFile(path, opts)
-			if err != nil {
-				return &PartitionError{Index: p.Index, TreesGot: -1, TreesWant: p.Trees, Err: err}
+		pe := &PartitionError{Index: p.Index, TreesWant: p.Trees}
+		// FoldShardFile validates before touching the master, so a shard
+		// that changed (or broke) since it verified leaves it clean.
+		if pe.TreesGot, pe.Err = VerifyShardFile(path, m.Options.ForestOptions()); pe.Err == nil && pe.TreesGot == p.Trees {
+			if _, pe.Err = FoldShardFile(master, path); pe.Err == nil {
+				rep.Merged = append(rep.Merged, p.Index)
+				rep.TreesMerged += p.Trees
+				continue
 			}
-			if trees != p.Trees {
-				return &PartitionError{Index: p.Index, TreesGot: trees, TreesWant: p.Trees}
-			}
-			if _, err := FoldShardFile(master, path); err != nil {
-				// The shard changed (or broke) between verify and fold;
-				// FoldShardFile validates before touching the master, so
-				// the master is still clean.
-				return &PartitionError{Index: p.Index, TreesGot: -1, TreesWant: p.Trees, Err: err}
-			}
-			return nil
-		}()
-		if perr == nil {
-			rep.Merged = append(rep.Merged, p.Index)
-			rep.TreesMerged += p.Trees
-			continue
 		}
-		rep.Failed = append(rep.Failed, perr)
+		if pe.Err != nil {
+			pe.TreesGot = -1
+		}
+		rep.Failed = append(rep.Failed, pe)
 		if !keepGoing {
-			return rep, perr
+			return rep, pe
 		}
 	}
 	return rep, nil

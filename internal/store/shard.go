@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"os"
 
 	"treemine/internal/core"
 )
@@ -40,6 +41,21 @@ func SaveShard(w io.Writer, sh *core.SupportShard) error {
 		return fmt.Errorf("store: encode shard: %w", err)
 	}
 	return bw.Flush()
+}
+
+// writeShard durably replaces the file at path with sh's v3 checkpoint.
+func writeShard(path string, sh *core.SupportShard) error {
+	return AtomicWrite(path, func(w io.Writer) error { return SaveShard(w, sh) })
+}
+
+// loadShardFile reads the v3 checkpoint at path.
+func loadShardFile(path string) (*core.SupportShard, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return LoadShard(f)
 }
 
 // LoadShard reads a v3 checkpoint written by SaveShard and rebuilds the

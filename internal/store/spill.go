@@ -274,6 +274,7 @@ type SpillAccumulator struct {
 	maxEntries int
 	dir        string
 	segs       []string
+	spilled    int64 // bytes of the segment files written
 	// held are drained runs no file holds yet — the tail Finish drains,
 	// or a segment whose write failed. They join every later merge and
 	// are dropped only once Finish's output is durable, so a failed
@@ -334,6 +335,9 @@ func (a *SpillAccumulator) spill() error {
 		a.hold(items)
 		return fmt.Errorf("store: spill segment %d: %w", len(a.segs), err)
 	}
+	if st, err := os.Stat(path); err == nil {
+		a.spilled += st.Size()
+	}
 	a.segs = append(a.segs, path)
 	return nil
 }
@@ -357,9 +361,7 @@ func (a *SpillAccumulator) hold(items []core.ShardItem) {
 // Finish can be called again and loses nothing.
 func (a *SpillAccumulator) Finish(path string) error {
 	if len(a.segs) == 0 && len(a.held) == 0 {
-		return AtomicWrite(path, func(w io.Writer) error {
-			return SaveShard(w, a.sh)
-		})
+		return writeShard(path, a.sh)
 	}
 	if err := faults.Hit(faults.SpillWrite); err != nil {
 		return err
@@ -626,11 +628,12 @@ func sniffSpillMagic(path string) (bool, error) {
 	return string(head[:]) == magicSpill, nil
 }
 
-// verifySpilledShard opens a spilled shard and streams every record,
-// checking the CRC, the record count, the option provenance, and
-// per-record bounds — without folding anything. Returns the tree tally
-// the file covers.
-func verifySpilledShard(path string, opts core.ForestOptions) (trees int, err error) {
+// scanSpilled streams the spilled shard at path, checking the CRC, the
+// record count, the option provenance and per-record bounds. With a
+// master it also folds the records in batches, so the master's lock is
+// taken once per batch and the file's labels are interned once. Returns
+// the tree tally the file covers.
+func scanSpilled(path string, opts core.ForestOptions, master *core.SupportShard) (trees int, err error) {
 	r, err := OpenSpilledShard(path)
 	if err != nil {
 		return 0, err
@@ -639,9 +642,26 @@ func verifySpilledShard(path string, opts core.ForestOptions) (trees int, err er
 	if r.Opts != opts {
 		return 0, fmt.Errorf("store: spilled shard mined with options %+v, master wants %+v", r.Opts, opts)
 	}
+	const batch = 4096
+	items, treesToAdd := make([]core.ShardItem, 0, batch), r.Trees
+	fold := func(int, []core.ShardItem) error { return nil }
+	if master != nil {
+		fold = master.FoldFrom(r.Labels)
+	}
+	flush := func() error {
+		if len(items) == 0 && treesToAdd == 0 {
+			return nil
+		}
+		err := fold(treesToAdd, items)
+		treesToAdd, items = 0, items[:0]
+		return err
+	}
 	for {
 		it, err := r.Next()
 		if err == io.EOF {
+			if err := flush(); err != nil {
+				return 0, err
+			}
 			return r.Trees, nil
 		}
 		if err != nil {
@@ -649,6 +669,11 @@ func verifySpilledShard(path string, opts core.ForestOptions) (trees int, err er
 		}
 		if err := validateSpillItem(it, r.Opts, len(r.Labels)); err != nil {
 			return 0, err
+		}
+		if items = append(items, it); len(items) == batch {
+			if err := flush(); err != nil {
+				return 0, err
+			}
 		}
 	}
 }
@@ -665,14 +690,9 @@ func VerifyShardFile(path string, opts core.ForestOptions) (trees int, err error
 		return 0, err
 	}
 	if spilled {
-		return verifySpilledShard(path, opts)
+		return scanSpilled(path, opts, nil)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	sh, err := LoadShard(f)
+	sh, err := loadShardFile(path)
 	if err != nil {
 		return 0, err
 	}
@@ -693,68 +713,18 @@ func FoldShardFile(master *core.SupportShard, path string) (trees int, err error
 	if err != nil {
 		return 0, err
 	}
-	if !spilled {
-		// v3 checkpoint: load (validated) and merge.
-		f, err := os.Open(path)
-		if err != nil {
+	if spilled {
+		if _, err := scanSpilled(path, master.Options(), nil); err != nil {
 			return 0, err
 		}
-		defer f.Close()
-		sh, err := LoadShard(f)
-		if err != nil {
-			return 0, err
-		}
-		if err := master.Merge(sh); err != nil {
-			return 0, err
-		}
-		return sh.Trees(), nil
+		return scanSpilled(path, master.Options(), master)
 	}
-
-	// Validation pass first, so a torn file never taints the master.
-	if _, err := verifySpilledShard(path, master.Options()); err != nil {
-		return 0, err
-	}
-
-	// Fold pass: stream again, folding in batches so the master's lock
-	// is taken once per batch, not per record, and the file's labels are
-	// interned into the master once, not per batch.
-	r, err := OpenSpilledShard(path)
+	sh, err := loadShardFile(path)
 	if err != nil {
 		return 0, err
 	}
-	defer r.Close()
-	const batch = 4096
-	items := make([]core.ShardItem, 0, batch)
-	treesToAdd := r.Trees
-	fold := master.FoldFrom(r.Labels)
-	flush := func() error {
-		if len(items) == 0 && treesToAdd == 0 {
-			return nil
-		}
-		if err := fold(treesToAdd, items); err != nil {
-			return err
-		}
-		treesToAdd = 0
-		items = items[:0]
-		return nil
-	}
-	for {
-		it, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return 0, err
-		}
-		items = append(items, it)
-		if len(items) == batch {
-			if err := flush(); err != nil {
-				return 0, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
+	if err := master.Merge(sh); err != nil {
 		return 0, err
 	}
-	return r.Trees, nil
+	return sh.Trees(), nil
 }

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"treemine/internal/core"
 	"treemine/internal/tree"
@@ -54,9 +53,6 @@ type Index struct {
 	// queries are only meaningful at these parameters.
 	Options core.Options
 	Entries []TreeEntry
-
-	supportOnce sync.Once
-	support     map[core.Key]int // lazily built aggregate
 }
 
 // Build mines every tree and assembles the index. names may be nil (trees
@@ -82,20 +78,6 @@ func Build(trees []*tree.Tree, names []string, opts core.Options) (*Index, error
 
 // NumTrees returns the number of indexed trees.
 func (ix *Index) NumTrees() int { return len(ix.Entries) }
-
-// supportTable builds (once, concurrency-safe) the aggregate tree-count
-// per key.
-func (ix *Index) supportTable() map[core.Key]int {
-	ix.supportOnce.Do(func() {
-		ix.support = make(map[core.Key]int)
-		for _, e := range ix.Entries {
-			for k := range e.Items {
-				ix.support[k]++
-			}
-		}
-	})
-	return ix.support
-}
 
 // savedIndexV1 is the version-1 gob payload: per-tree string-keyed item
 // maps. Kept for backward-compatible reads (and to author fixtures in

@@ -338,77 +338,65 @@ func strictlySorted(labels []string) bool {
 	return true
 }
 
-// imageFromIndex normalizes a v1/v2 per-tree index into a v4 image: the
-// aggregate support table becomes the record section, and every tree's
-// item set becomes its (record, occur) list in the per-tree section.
+// imageFromIndex normalizes a v1/v2 per-tree index into a v4 image.
+// Every item is rank-coded once, tagged with its tree and occurrence
+// count, and all of them are radix-sorted by key together. One pass
+// over that order then yields the records (each distinct key, counting
+// the trees that hold it) and, dealt out by tree, every tree's (record,
+// occur) list already in record order. No step keys a map by label
+// pair, and nothing is searched.
 func imageFromIndex(ix *Index) (*v4image, error) {
-	img := &v4image{
-		opts:  core.ForestOptions{Options: ix.Options, MinSup: 1},
-		trees: ix.NumTrees(),
-	}
-	for _, e := range ix.Entries {
-		img.items += int64(len(e.Items))
-	}
-	sup := ix.supportTable()
 	labelSet := make(map[string]struct{})
-	for k := range sup {
-		labelSet[k.A] = struct{}{}
-		labelSet[k.B] = struct{}{}
+	start := make([]int, len(ix.Entries)+1) // tree t's items are [start[t], start[t+1])
+	for t, e := range ix.Entries {
+		start[t+1] = start[t] + len(e.Items)
+		for k := range e.Items {
+			labelSet[k.A] = struct{}{}
+			labelSet[k.B] = struct{}{}
+		}
 	}
 	labels := make([]string, 0, len(labelSet))
 	for l := range labelSet {
 		labels = append(labels, l)
 	}
 	sorted, rank := rankLabels(labels)
-	img.labels = sorted
-	if len(sorted) > core.MaxSymbols {
-		return nil, fmt.Errorf("store: compact: %d labels exceed the symbol space", len(sorted))
-	}
-	if img.generic() {
-		img.gen = make([]v4GenRec, 0, len(sup))
-		for k, n := range sup {
-			img.gen = append(img.gen, v4GenRec{a: k.A, b: k.B, d: k.D, n: int64(n)})
-		}
-	} else {
-		img.post = make([]v4Posting, 0, len(sup))
-		for k, n := range sup {
-			img.post = append(img.post, v4Posting{
-				key: core.NewIKey(rank[k.A], rank[k.B], k.D),
-				n:   int64(n),
-			})
+	all := make([]core.ShardItem, 0, start[len(ix.Entries)]) // N = tree<<32 | occur
+	for t, e := range ix.Entries {
+		for k, n := range e.Items {
+			if n < 1 || n > math.MaxUint32 {
+				return nil, fmt.Errorf("store: compact: tree %q: bad item %v × %d", e.Name, k, n)
+			}
+			a, b := rank[k.A], rank[k.B]
+			all = append(all, core.ShardItem{A: min(a, b), B: max(a, b), D: k.D, N: int64(t)<<32 | int64(n)})
 		}
 	}
-	img.sortAndPermute()
+	core.SortShardItems(all)
+	var recs []core.ShardItem
+	byTree := make([]uint64, len(all)) // record<<32 | occur, tree by tree
+	next := slices.Clone(start[:len(ix.Entries)])
+	for i, it := range all {
+		if i == 0 || spillItemLess(all[i-1], it) {
+			recs = append(recs, core.ShardItem{A: it.A, B: it.B, D: it.D})
+		}
+		recs[len(recs)-1].N++
+		t := it.N >> 32
+		byTree[next[t]] = uint64(len(recs)-1)<<32 | uint64(uint32(it.N))
+		next[t]++
+	}
+	img, err := imageFromSnapshot(core.ForestOptions{Options: ix.Options, MinSup: 1}, ix.NumTrees(), sorted, recs)
+	if err != nil {
+		return nil, err
+	}
+	img.items = int64(len(all))
 
-	// Record indexes of the sorted section, for the per-tree lists.
-	recOf := make(map[core.Key]uint64, img.recCount())
-	for i := 0; i < img.recCount(); i++ {
-		if img.generic() {
-			r := &img.gen[i]
-			recOf[core.Key{A: r.a, B: r.b, D: r.d}] = uint64(i)
-		} else {
-			a, b := img.post[i].key.Syms()
-			recOf[core.Key{A: sorted[a], B: sorted[b], D: img.post[i].key.Dist()}] = uint64(i)
-		}
-	}
 	le := binary.LittleEndian
 	var idx, names, items []byte
-	var run []uint64 // one tree's items as record<<32 | occur
-	for _, e := range ix.Entries {
+	for t, e := range ix.Entries {
 		idx = le.AppendUint64(idx, uint64(len(names)))
 		idx = le.AppendUint64(idx, uint64(len(items)/v4TreeItemLen))
 		idx = le.AppendUint64(idx, uint64(e.Nodes))
 		names = append(names, e.Name...)
-		run = run[:0]
-		for k, n := range e.Items {
-			rec, ok := recOf[core.NewKey(k.A, k.B, k.D)]
-			if !ok || n < 1 || n > math.MaxUint32 {
-				return nil, fmt.Errorf("store: compact: tree %q: bad item %v × %d", e.Name, k, n)
-			}
-			run = append(run, rec<<32|uint64(n))
-		}
-		slices.Sort(run)
-		for _, r := range run {
+		for _, r := range byTree[start[t]:start[t+1]] {
 			items = le.AppendUint32(items, uint32(r>>32))
 			items = le.AppendUint32(items, uint32(r))
 		}
@@ -553,8 +541,7 @@ func CompactIndexV4(dst string, ix *Index) error {
 // CompactShardV4 compacts a support shard into a v4 file at dst,
 // written durably via AtomicWrite.
 func CompactShardV4(dst string, sh *core.SupportShard) error {
-	opts, trees, labels, items := sh.Snapshot()
-	img, err := imageFromSnapshot(opts, trees, labels, items)
+	img, err := imageFromSnapshot(sh.Snapshot())
 	if err != nil {
 		return err
 	}
@@ -605,8 +592,7 @@ func OpenMappedReader(src io.Reader) (*Mapped, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts, trees, labels, items := sh.Snapshot()
-		if img, err = imageFromSnapshot(opts, trees, labels, items); err != nil {
+		if img, err = imageFromSnapshot(sh.Snapshot()); err != nil {
 			return nil, err
 		}
 	default:

@@ -227,7 +227,10 @@ func (t *Tree) LCA(u, v NodeID) NodeID {
 	return u
 }
 
-// Clone returns a deep copy of the tree.
+// Clone returns a deep copy of the tree. The children lists share one
+// backing array, laid out as Builder.Build lays them: each list capped
+// at its own length (so an append reallocates rather than overwriting a
+// sibling's), nil for leaves.
 func (t *Tree) Clone() *Tree {
 	c := &Tree{
 		parent:   append([]NodeID(nil), t.parent...),
@@ -236,8 +239,17 @@ func (t *Tree) Clone() *Tree {
 		labeled:  append([]bool(nil), t.labeled...),
 		depth:    append([]int(nil), t.depth...),
 	}
+	total := 0
+	for _, kids := range t.children {
+		total += len(kids)
+	}
+	flat := make([]NodeID, 0, total)
 	for i, kids := range t.children {
-		c.children[i] = append([]NodeID(nil), kids...)
+		if len(kids) > 0 {
+			at := len(flat)
+			flat = append(flat, kids...)
+			c.children[i] = flat[at:len(flat):len(flat)]
+		}
 	}
 	return c
 }
