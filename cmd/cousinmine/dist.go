@@ -16,68 +16,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"treemine"
 	"treemine/internal/coord"
 	"treemine/internal/phyloio"
 	"treemine/internal/store"
 )
-
-// distFlags carries the distributed-mode flag values out of run.
-type distFlags struct {
-	plan        string
-	parts       int
-	worker      int
-	manifest    string
-	merge       bool
-	distributed int
-	workdir     string
-	maxResident string
-	shards      int
-	format      string
-	compact     string
-
-	// Supervision knobs (-distributed only).
-	distWorkers     int
-	retries         int
-	backoff         time.Duration
-	attemptTimeout  time.Duration
-	stragglerFactor float64
-	// allowPartial applies to -merge and -distributed.
-	allowPartial bool
-}
-
-// active reports whether any distributed mode was selected.
-func (d *distFlags) active() bool {
-	return d.plan != "" || d.worker >= 0 || d.merge || d.distributed > 0
-}
-
-// runDist dispatches the selected distributed mode. Exactly one of
-// plan/worker/merge/distributed may be active; worker and merge take
-// their mining options from the manifest, so the CLI mining flags only
-// matter to plan and distributed.
-func runDist(ctx context.Context, d *distFlags, files []string, fopts treemine.ForestOptions, stdout io.Writer) error {
-	modes := 0
-	for _, on := range []bool{d.plan != "", d.worker >= 0, d.merge, d.distributed > 0} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		return fmt.Errorf("-plan, -worker, -merge, and -distributed are mutually exclusive")
-	}
-	switch {
-	case d.plan != "":
-		return runPlan(d.plan, files, d.parts, fopts, stdout)
-	case d.worker >= 0:
-		return runWorker(ctx, d, stdout)
-	case d.merge:
-		return runMerge(d.manifest, d.format, d.compact, d.allowPartial, stdout)
-	default:
-		return runDistributed(ctx, d, files, fopts, stdout)
-	}
-}
 
 // absInputs resolves the corpus paths to absolute form — manifests
 // record absolute inputs so workers can run from any directory.
@@ -134,7 +78,7 @@ const spillBytesPerEntry = 64
 // store.Mine, spilling past a -max-resident budget. The write is
 // atomic: a worker killed mid-range leaves no shard, which the merge
 // reports as exactly that range needing a re-mine.
-func runWorker(ctx context.Context, d *distFlags, stdout io.Writer) error {
+func runWorker(ctx context.Context, d *cliFlags, stdout io.Writer) error {
 	if d.manifest == "" {
 		return fmt.Errorf("-worker requires -manifest")
 	}
@@ -254,7 +198,7 @@ func runMerge(manifestPath, format, compact string, allowPartial bool, stdout io
 // -workdir resumes: the existing plan is reused (after checking it
 // describes this corpus and these options) and partitions whose shards
 // already verify are skipped.
-func runDistributed(ctx context.Context, d *distFlags, files []string, fopts treemine.ForestOptions, stdout io.Writer) (retErr error) {
+func runDistributed(ctx context.Context, d *cliFlags, files []string, fopts treemine.ForestOptions, stdout io.Writer) (retErr error) {
 	workdir := d.workdir
 	temp := false
 	if workdir == "" {

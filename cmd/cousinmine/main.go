@@ -43,6 +43,9 @@
 // degrades a merge with invalid shards instead of failing: the valid
 // ranges merge exactly, and every gap is named with its re-mine
 // command.
+//
+// Each mode — batch, stream, plan, worker, merge, distributed — reads a
+// fixed set of flags (modeFlags); setting any other flag is an error.
 package main
 
 import (
@@ -53,6 +56,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"treemine"
@@ -77,78 +81,123 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) error {
+// modeFlags lists every flag each mode reads, the flag that selects the
+// mode included. run rejects any other flag set on the command line, so
+// a flag a mode would ignore is an error, never a silent no-op.
+var modeFlags = map[string][]string{
+	"batch":       {"mode", "maxdist", "minoccur", "minsup", "ignoredist", "format"},
+	"stream":      {"stream", "mode", "maxdist", "minoccur", "minsup", "ignoredist", "format", "shards", "checkpoint", "checkpoint-every", "compact"},
+	"plan":        {"plan", "parts", "maxdist", "minoccur", "minsup", "ignoredist"},
+	"worker":      {"worker", "manifest", "shards", "max-resident"},
+	"merge":       {"merge", "manifest", "format", "compact", "allow-partial"},
+	"distributed": {"distributed", "workdir", "maxdist", "minoccur", "minsup", "ignoredist", "format", "compact", "shards", "max-resident", "dist-workers", "retries", "backoff", "attempt-timeout", "straggler-factor", "allow-partial"},
+}
+
+// cliFlags holds every flag value of one run; modeFlags says which of
+// them each mode reads.
+type cliFlags struct {
+	mode, maxDist, format, checkpoint, compact string
+	plan, manifest, workdir, maxResident       string
+	minOccur, minSup, shards, ckptEvery, parts int
+	worker, distributed, distWorkers, retries  int
+	ignoreDist, stream, merge, allowPartial    bool
+	backoff, attemptTimeout                    time.Duration
+	stragglerFactor                            float64
+}
+
+// newFlagSet defines cousinmine's flags, bound to the fields of the
+// returned cliFlags.
+func newFlagSet(stdout io.Writer) (*flag.FlagSet, *cliFlags) {
 	fs := flag.NewFlagSet("cousinmine", flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	df := &distFlags{}
-	mode := fs.String("mode", "single", "mining mode: single (per-tree items) or multi (frequent pairs)")
-	maxDist := fs.String("maxdist", "1.5", "maximum cousin distance (multiple of 0.5)")
-	minOccur := fs.Int("minoccur", 1, "minimum within-tree occurrences")
-	minSup := fs.Int("minsup", 2, "minimum cross-tree support (multi mode)")
-	ignoreDist := fs.Bool("ignoredist", false, "count support ignoring cousin distance (multi mode)")
-	fs.StringVar(&df.format, "format", "table", "output format: table or json")
-	stream := fs.Bool("stream", false, "mine without materializing the forest (multi mode)")
-	fs.IntVar(&df.shards, "shards", 0, "streaming worker count; 0 uses all CPUs")
-	checkpoint := fs.String("checkpoint", "", "shard checkpoint file: written during -stream runs, resumed from when present")
-	ckptEvery := fs.Int("checkpoint-every", 500, "trees mined between checkpoint writes")
-	fs.StringVar(&df.compact, "compact", "", "also write the mined shard as a v4 zero-copy index to this file (requires -stream or -merge)")
-	fs.StringVar(&df.plan, "plan", "", "write a distributed-mining partition manifest to this file (requires file inputs)")
-	fs.IntVar(&df.parts, "parts", 2, "partition count for -plan")
-	fs.IntVar(&df.worker, "worker", -1, "mine one partition (by index) of -manifest to its shard file")
-	fs.StringVar(&df.manifest, "manifest", "", "partition manifest consumed by -worker and -merge")
-	fs.BoolVar(&df.merge, "merge", false, "fold the worker shards named by -manifest into the master shard and print its frequent pairs")
-	fs.IntVar(&df.distributed, "distributed", 0, "run plan -> N local worker processes -> merge end to end")
-	fs.StringVar(&df.workdir, "workdir", "", "work directory for -distributed (default: a temp dir, removed on success)")
-	fs.StringVar(&df.maxResident, "max-resident", "", "worker resident-memory budget (e.g. 64M); past it support counts spill to sorted disk segments")
-	fs.IntVar(&df.distWorkers, "dist-workers", 0, "concurrent worker processes for -distributed; 0 uses all CPUs")
-	fs.IntVar(&df.retries, "retries", 3, "per-partition retry budget for -distributed supervision")
-	fs.DurationVar(&df.backoff, "backoff", 250*time.Millisecond, "initial retry backoff for -distributed; doubles per retry, with deterministic jitter")
-	fs.DurationVar(&df.attemptTimeout, "attempt-timeout", 0, "per-attempt timeout for -distributed workers; 0 disables")
-	fs.Float64Var(&df.stragglerFactor, "straggler-factor", 3, "speculatively re-execute a -distributed worker past this multiple of the median attempt duration; 0 disables")
-	fs.BoolVar(&df.allowPartial, "allow-partial", false, "degrade instead of failing: merge the valid shards, report exact coverage and the re-mine command for each gap")
+	f := &cliFlags{}
+	fs.StringVar(&f.mode, "mode", "single", "mining mode: single (per-tree items) or multi (frequent pairs)")
+	fs.StringVar(&f.maxDist, "maxdist", "1.5", "maximum cousin distance (multiple of 0.5)")
+	fs.IntVar(&f.minOccur, "minoccur", 1, "minimum within-tree occurrences")
+	fs.IntVar(&f.minSup, "minsup", 2, "minimum cross-tree support (multi mode)")
+	fs.BoolVar(&f.ignoreDist, "ignoredist", false, "count support ignoring cousin distance (multi mode)")
+	fs.StringVar(&f.format, "format", "table", "output format: table or json")
+	fs.BoolVar(&f.stream, "stream", false, "mine without materializing the forest (multi mode)")
+	fs.IntVar(&f.shards, "shards", 0, "streaming worker count; 0 uses all CPUs")
+	fs.StringVar(&f.checkpoint, "checkpoint", "", "shard checkpoint file: written during -stream runs, resumed from when present")
+	fs.IntVar(&f.ckptEvery, "checkpoint-every", 500, "trees mined between checkpoint writes")
+	fs.StringVar(&f.compact, "compact", "", "also write the mined shard as a v4 zero-copy index to this file (-stream, -merge or -distributed)")
+	fs.StringVar(&f.plan, "plan", "", "write a distributed-mining partition manifest to this file (requires file inputs)")
+	fs.IntVar(&f.parts, "parts", 2, "partition count for -plan")
+	fs.IntVar(&f.worker, "worker", -1, "mine one partition (by index) of -manifest to its shard file")
+	fs.StringVar(&f.manifest, "manifest", "", "partition manifest consumed by -worker and -merge")
+	fs.BoolVar(&f.merge, "merge", false, "fold the worker shards named by -manifest into the master shard and print its frequent pairs")
+	fs.IntVar(&f.distributed, "distributed", 0, "run plan -> N local worker processes -> merge end to end")
+	fs.StringVar(&f.workdir, "workdir", "", "work directory for -distributed (default: a temp dir, removed on success)")
+	fs.StringVar(&f.maxResident, "max-resident", "", "worker resident-memory budget (e.g. 64M); past it support counts spill to sorted disk segments")
+	fs.IntVar(&f.distWorkers, "dist-workers", 0, "concurrent worker processes for -distributed; 0 uses all CPUs")
+	fs.IntVar(&f.retries, "retries", 3, "per-partition retry budget for -distributed supervision")
+	fs.DurationVar(&f.backoff, "backoff", 250*time.Millisecond, "initial retry backoff for -distributed; doubles per retry, with deterministic jitter")
+	fs.DurationVar(&f.attemptTimeout, "attempt-timeout", 0, "per-attempt timeout for -distributed workers; 0 disables")
+	fs.Float64Var(&f.stragglerFactor, "straggler-factor", 3, "speculatively re-execute a -distributed worker past this multiple of the median attempt duration; 0 disables")
+	fs.BoolVar(&f.allowPartial, "allow-partial", false, "degrade instead of failing: merge the valid shards, report exact coverage and the re-mine command for each gap")
+	return fs, f
+}
+
+// modeOf names the mode the parsed flags select — one of the
+// distributed modes, else stream or batch — and rejects the first flag
+// set, in lexical order, that the mode does not read.
+func modeOf(fs *flag.FlagSet, f *cliFlags) (mode string, err error) {
+	on := map[string]bool{"plan": f.plan != "", "worker": f.worker >= 0, "merge": f.merge, "distributed": f.distributed > 0}
+	mode, n := "batch", 0
+	if f.stream {
+		mode = "stream"
+	}
+	for name, sel := range on {
+		if sel {
+			mode, n = name, n+1
+		}
+	}
+	if n > 1 {
+		return "", fmt.Errorf("-plan, -worker, -merge, and -distributed are mutually exclusive")
+	}
+	fs.Visit(func(fl *flag.Flag) {
+		if err == nil && !slices.Contains(modeFlags[mode], fl.Name) {
+			err = fmt.Errorf("-%s is not read in %s mode; drop -%s", fl.Name, mode, fl.Name)
+		}
+	})
+	return mode, err
+}
+
+func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) error {
+	fs, f := newFlagSet(stdout)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, name := range []string{"dist-workers", "retries", "backoff", "attempt-timeout", "straggler-factor"} {
-		if set[name] && df.distributed == 0 {
-			return fmt.Errorf("-%s supervises -distributed workers; use it with -distributed", name)
-		}
+	mode, err := modeOf(fs, f)
+	if err != nil {
+		return err
 	}
-	if set["allow-partial"] && !df.merge && df.distributed == 0 {
-		return fmt.Errorf("-allow-partial degrades a merge; use it with -merge or -distributed")
-	}
-	if df.format != "table" && df.format != "json" {
-		return fmt.Errorf("unknown format %q (want table or json)", df.format)
+	if f.format != "table" && f.format != "json" {
+		return fmt.Errorf("unknown format %q (want table or json)", f.format)
 	}
 
-	d, err := treemine.ParseDist(*maxDist)
+	d, err := treemine.ParseDist(f.maxDist)
 	if err != nil {
 		return err
 	}
 	if d.IsWild() {
-		return fmt.Errorf("-maxdist must be a concrete distance, not %q", *maxDist)
+		return fmt.Errorf("-maxdist must be a concrete distance, not %q", f.maxDist)
 	}
-	opts := treemine.Options{MaxDist: d, MinOccur: *minOccur}
+	opts := treemine.Options{MaxDist: d, MinOccur: f.minOccur}
+	fopts := treemine.ForestOptions{Options: opts, MinSup: f.minSup, IgnoreDist: f.ignoreDist}
 
-	if df.active() && (*stream || *checkpoint != "") {
-		return fmt.Errorf("the distributed modes manage their own streaming; drop -stream and -checkpoint")
-	}
-	if df.maxResident != "" && df.worker < 0 && df.distributed == 0 {
-		return fmt.Errorf("-max-resident applies to workers; use it with -worker or -distributed")
-	}
-	fopts := treemine.ForestOptions{Options: opts, MinSup: *minSup, IgnoreDist: *ignoreDist}
-	if df.active() {
-		return runDist(ctx, df, fs.Args(), fopts, stdout)
-	}
-
-	if df.compact != "" && !*stream {
-		return fmt.Errorf("-compact requires -stream (the shard to compact is the stream's result)")
-	}
-
-	if *stream {
-		if *mode != "multi" {
+	switch mode {
+	case "plan":
+		return runPlan(f.plan, fs.Args(), f.parts, fopts, stdout)
+	case "worker":
+		return runWorker(ctx, f, stdout)
+	case "merge":
+		return runMerge(f.manifest, f.format, f.compact, f.allowPartial, stdout)
+	case "distributed":
+		return runDistributed(ctx, f, fs.Args(), fopts, stdout)
+	case "stream":
+		if f.mode != "multi" {
 			return fmt.Errorf("-stream requires -mode multi")
 		}
 		// The bounded-memory pipeline: with -checkpoint, an interrupted run
@@ -156,22 +205,22 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		src := phyloio.OpenTrees(fs.Args(), stdin)
 		defer src.Close()
 		sh, rep, err := store.Mine(ctx, src, fopts, store.MineConfig{
-			Workers: df.shards, Checkpoint: *checkpoint, CheckpointEvery: *ckptEvery, Compact: df.compact,
+			Workers: f.shards, Checkpoint: f.checkpoint, CheckpointEvery: f.ckptEvery, Compact: f.compact,
 		})
-		if errors.Is(err, context.Canceled) && *checkpoint != "" {
+		if errors.Is(err, context.Canceled) && f.checkpoint != "" {
 			fmt.Fprintf(os.Stderr, "cousinmine: interrupted after %d trees; checkpoint %s is resumable\n",
-				rep.Trees, *checkpoint)
+				rep.Trees, f.checkpoint)
 		}
 		if err != nil {
 			return err
 		}
-		if df.compact != "" {
-			fmt.Fprintf(os.Stderr, "cousinmine: wrote v4 index %s (%d trees)\n", df.compact, sh.Trees())
+		if f.compact != "" {
+			fmt.Fprintf(os.Stderr, "cousinmine: wrote v4 index %s (%d trees)\n", f.compact, sh.Trees())
 		}
 		if sh.Trees() == 0 {
 			return fmt.Errorf("no input trees")
 		}
-		return emitMulti(stdout, df.format, sh.Finalize(fopts.MinSup), sh.Trees())
+		return emitMulti(stdout, f.format, sh.Finalize(fopts.MinSup), sh.Trees())
 	}
 
 	trees, err := phyloio.ReadTrees(fs.Args(), stdin)
@@ -182,7 +231,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		return fmt.Errorf("no input trees")
 	}
 
-	switch *mode {
+	switch f.mode {
 	case "single":
 		type treeItems struct {
 			Tree  int             `json:"tree"`
@@ -192,7 +241,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		var all []treeItems
 		for i, t := range trees {
 			items := treemine.Mine(t, opts)
-			if df.format == "json" {
+			if f.format == "json" {
 				all = append(all, treeItems{Tree: i + 1, Nodes: t.Size(), Items: items.Items()})
 				continue
 			}
@@ -204,14 +253,14 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 			tb.Fprint(stdout)
 			fmt.Fprintln(stdout)
 		}
-		if df.format == "json" {
+		if f.format == "json" {
 			return writeJSON(stdout, all)
 		}
 	case "multi":
 		fp := treemine.MineForest(trees, fopts)
-		return emitMulti(stdout, df.format, fp, len(trees))
+		return emitMulti(stdout, f.format, fp, len(trees))
 	default:
-		return fmt.Errorf("unknown mode %q (want single or multi)", *mode)
+		return fmt.Errorf("unknown mode %q (want single or multi)", f.mode)
 	}
 	return nil
 }

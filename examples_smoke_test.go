@@ -5,6 +5,8 @@ package treemine_test
 // -short mode.
 
 import (
+	"bytes"
+	"os"
 	"os/exec"
 	"strings"
 	"testing"
@@ -31,12 +33,21 @@ func TestExamplesRun(t *testing.T) {
 		t.Run(ex.dir, func(t *testing.T) {
 			t.Parallel()
 			cmd := exec.Command("go", "run", "./examples/"+ex.dir)
-			out, err := cmd.CombinedOutput()
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
 			if err != nil {
-				t.Fatalf("example %s failed: %v\n%s", ex.dir, err, out)
+				t.Fatalf("example %s failed: %v\n%s%s", ex.dir, err, out, stderr.Bytes())
 			}
 			if !strings.Contains(string(out), ex.want) {
 				t.Fatalf("example %s output missing %q:\n%s", ex.dir, ex.want, out)
+			}
+			// An example with a golden file must reproduce it byte for byte.
+			golden := "examples/" + ex.dir + "/testdata/stdout.golden"
+			if want, err := os.ReadFile(golden); err == nil && !bytes.Equal(out, want) {
+				t.Fatalf("example %s stdout differs from %s:\n%s", ex.dir, golden, out)
+			} else if err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
 			}
 		})
 	}

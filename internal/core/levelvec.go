@@ -152,8 +152,8 @@ func (m *miner) accumulateBlocked(ac *accum) {
 	lv.prepare(m.syms.Len(), m.maxJ)
 	t := m.t
 	for a := tree.NodeID(0); a < tree.NodeID(t.Size()); a++ {
-		kids := t.Children(a)
-		if len(kids) < 2 {
+		kids := m.lcaKids(a)
+		if kids == nil {
 			continue
 		}
 		lm := m.lcaLevels(kids)
@@ -161,15 +161,25 @@ func (m *miner) accumulateBlocked(ac *accum) {
 			continue
 		}
 		m.buildLevels(kids, lm)
-		for d := Dist(0); d <= m.opts.MaxDist; d++ {
-			i, j := d.Levels()
+		for _, p := range m.pairs {
+			i, j, dc := p.i, p.j, p.dc
 			if j > lm {
-				break // j is nondecreasing in d
+				break // m.pairs is nondecreasing in j
+			}
+			if i == 0 {
+				// Vertical pair: a with every labeled node j levels
+				// down, whichever child it sits under.
+				if t.Labeled(a) {
+					sa, cnt := m.nodeSym[a], lv.cnt[j]
+					for _, s := range lv.occList[j] {
+						ac.add(sa, s, dc, cnt[s])
+					}
+				}
+				continue
 			}
 			if !lv.pairable(i, j) {
 				continue
 			}
-			dc := int(d)
 			// Sweep before correcting: the totals sweep records every cell
 			// of the level pair's occupancy pattern (touched list or row
 			// bitmap depending on the path), and the same-child correction
@@ -187,87 +197,6 @@ func (m *miner) accumulateBlocked(ac *accum) {
 				lv.sweepCross(ac, i, j, dc)
 			}
 			m.subtractSameChild(ac, kids, i, j, dc)
-		}
-		lv.clear()
-	}
-}
-
-// accumulateSymVec is the mid ablation point: the same symbol-vector
-// enumeration, but accumulating through the general accum.add in
-// first-touch order instead of the sorted row-major word sweep. Kept so
-// BenchmarkMineCore can attribute the win between the counting identity
-// and the blocked accumulation separately.
-func (m *miner) accumulateSymVec(ac *accum) {
-	if m.maxJ == 0 {
-		return
-	}
-	lv := &m.lv
-	lv.prepare(m.syms.Len(), m.maxJ)
-	t, nodeSym := m.t, m.nodeSym
-	for a := tree.NodeID(0); a < tree.NodeID(t.Size()); a++ {
-		kids := t.Children(a)
-		if len(kids) < 2 {
-			continue
-		}
-		lm := m.lcaLevels(kids)
-		if lm == 0 {
-			continue
-		}
-		m.buildLevels(kids, lm)
-		for d := Dist(0); d <= m.opts.MaxDist; d++ {
-			i, j := d.Levels()
-			if j > lm {
-				break
-			}
-			if !lv.pairable(i, j) {
-				continue
-			}
-			dc := int(d)
-			// Same-child correction via add (not bump): this variant
-			// must work for map-mode accumulators too, and add has no
-			// ordering requirement against the totals loop below.
-			for _, c := range kids {
-				if i == j {
-					bkt := m.bucket(c, i)
-					for x, u := range bkt {
-						su := nodeSym[u]
-						for _, v := range bkt[x+1:] {
-							ac.add(su, nodeSym[v], dc, -1)
-						}
-					}
-					continue
-				}
-				us := m.bucket(c, i)
-				if len(us) == 0 {
-					continue
-				}
-				for _, u := range us {
-					su := nodeSym[u]
-					for _, v := range m.bucket(c, j) {
-						ac.add(su, nodeSym[v], dc, -1)
-					}
-				}
-			}
-			cntI, listI := lv.cnt[i], lv.occList[i]
-			cntJ, listJ := lv.cnt[j], lv.occList[j]
-			if i == j {
-				for x, s1 := range listI {
-					n1 := cntI[s1]
-					if n1 > 1 {
-						ac.add(s1, s1, dc, pairsOf(n1))
-					}
-					for _, s2 := range listI[x+1:] {
-						ac.add(s1, s2, dc, n1*cntI[s2])
-					}
-				}
-				continue
-			}
-			for _, s1 := range listI {
-				n1 := cntI[s1]
-				for _, s2 := range listJ {
-					ac.add(s1, s2, dc, n1*cntJ[s2])
-				}
-			}
 		}
 		lv.clear()
 	}
@@ -515,7 +444,7 @@ func (lv *levelVecs) sweepSame(ac *accum, k, dc int) {
 	}
 }
 
-// sweepCross adds the totals product for a two-level pair (j = i+1).
+// sweepCross adds the totals product for a two-level pair (i < j).
 // Rows run over the union of the two levels' occupied symbols; row r
 // receives n_i(r)·n_j(t) for t ≥ r and n_j(r)·n_i(t) for t > r, which
 // together cover every ordered level-i × level-j symbol pair exactly

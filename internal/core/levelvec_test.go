@@ -19,7 +19,14 @@ type cellKey struct {
 
 // accumVia mines t through one accumulate strategy into a plain map.
 func accumVia(t *tree.Tree, opts Options, syms *Symbols, run func(*miner, *accum)) map[cellKey]int32 {
-	m := getMiner(t, opts, syms)
+	return accumRule(t, opts, syms, false, run)
+}
+
+// accumRule is accumVia under the rooted or the unrooted level-pair rule.
+func accumRule(t *tree.Tree, opts Options, syms *Symbols, unrooted bool, run func(*miner, *accum)) map[cellKey]int32 {
+	m := minerPool.Get().(*miner)
+	m.unrooted = unrooted
+	m.reset(t, opts, syms)
 	defer m.release()
 	out := map[cellKey]int32{}
 	if m.maxJ == 0 {
@@ -71,8 +78,7 @@ func diffCells(t *testing.T, name string, got, want map[cellKey]int32) {
 }
 
 // TestLevelVecDifferential quick-checks the symbol-vector accumulation
-// (both the blocked production path and the symvec ablation variant)
-// bit-for-bit against the forEachPair oracle over random tree shapes, at
+// (the blocked production path) and the pair enumeration bit-for-bit against the forEachPair oracle over random tree shapes, at
 // the packable boundary: MaxDist = MaxPackedDist and one past it (where
 // packed keys are impossible but the dense accumulator still runs, with
 // more distance slots).
@@ -101,10 +107,6 @@ func TestLevelVecDifferential(t *testing.T) {
 					m.accumulateBlocked(ac)
 				})
 				diffCells(t, name+" blocked", blocked, want)
-				symvec := accumVia(tr, opts, syms, func(m *miner, ac *accum) {
-					m.accumulateSymVec(ac)
-				})
-				diffCells(t, name+" symvec", symvec, want)
 				if md <= MaxPackedDist {
 					pairs := accumVia(tr, opts, syms, func(m *miner, ac *accum) {
 						m.accumulatePairs(ac)
@@ -151,6 +153,118 @@ func TestLevelVecDifferentialMapMode(t *testing.T) {
 			t.Fatalf("item (%s,%s,%s): map mode %d, dense mode %d", la, lb, k.Dist(), got, n)
 		}
 	}
+}
+
+// unrootedOracleCells is the test-side brute force for the unrooted
+// rule: every labeled node pair of t whose path has n ≥ 2 edges and
+// n − 2 ≤ MaxDist, counted at slot n − 2. Paths are measured by walking
+// both nodes up to where they meet, with no buckets or level pairs.
+func unrootedOracleCells(t *tree.Tree, opts Options, syms *Symbols) map[cellKey]int32 {
+	out := map[cellKey]int32{}
+	nodes := t.LabeledNodes()
+	for x, u := range nodes {
+		for _, v := range nodes[x+1:] {
+			n := 0
+			for a, b := u, v; a != b; n++ {
+				if t.Depth(a) >= t.Depth(b) {
+					a = t.Parent(a)
+				} else {
+					b = t.Parent(b)
+				}
+			}
+			if n < 2 || n-2 > int(opts.MaxDist) {
+				continue
+			}
+			su, _ := syms.Lookup(t.MustLabel(u))
+			sv, _ := syms.Lookup(t.MustLabel(v))
+			if sv < su {
+				su, sv = sv, su
+			}
+			out[cellKey{a: su, b: sv, dc: n - 2}]++
+		}
+	}
+	return out
+}
+
+// unrootedPairCells aggregates forEachPair under the unrooted rule into
+// the cell map shape.
+func unrootedPairCells(t *tree.Tree, opts Options, syms *Symbols) map[cellKey]int32 {
+	m := minerPool.Get().(*miner)
+	m.unrooted = true
+	m.reset(t, opts, syms)
+	defer m.release()
+	out := map[cellKey]int32{}
+	m.forEachPair(func(u, v tree.NodeID, d Dist) {
+		su, sv := m.nodeSym[u], m.nodeSym[v]
+		if sv < su {
+			su, sv = sv, su
+		}
+		out[cellKey{a: su, b: sv, dc: int(d)}]++
+	})
+	return out
+}
+
+// TestLevelVecDifferentialUnrooted runs TestLevelVecDifferential's
+// random shapes under the unrooted level-pair rule: the blocked sweep,
+// the pair enumeration and forEachPair against the test-side brute
+// force, at the packed boundary, one past it, and at 20 halves.
+func TestLevelVecDifferentialUnrooted(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	shapes := []treegen.Params{
+		{TreeSize: 120, Fanout: 5, AlphabetSize: 120},
+		{TreeSize: 120, Fanout: 5, AlphabetSize: 6},
+		{TreeSize: 150, Fanout: 40, AlphabetSize: 10},
+		{TreeSize: 80, Fanout: 2, AlphabetSize: 4},
+		{TreeSize: 40, Fanout: 1, AlphabetSize: 3}, // a path: only children throughout
+		{TreeSize: 1, Fanout: 1, AlphabetSize: 1},
+	}
+	for _, p := range shapes {
+		for trial := 0; trial < 3; trial++ {
+			tr := treegen.Fanout(rng, p)
+			for _, md := range []Dist{MaxPackedDist, MaxPackedDist + 1, 20} {
+				opts := Options{MaxDist: md, MinOccur: 1}
+				syms := NewSymbols()
+				syms.InternTree(tr)
+				name := fmt.Sprintf("unrooted %+v md=%d trial=%d", p, md, trial)
+				want := unrootedOracleCells(tr, opts, syms)
+				blocked := accumRule(tr, opts, syms, true, func(m *miner, ac *accum) {
+					if ac.dense == nil {
+						t.Fatalf("%s: expected dense mode", name)
+					}
+					m.accumulateBlocked(ac)
+				})
+				diffCells(t, name+" blocked", blocked, want)
+				diffCells(t, name+" forEachPair", unrootedPairCells(tr, opts, syms), want)
+				if md <= MaxPackedDist {
+					pairs := accumRule(tr, opts, syms, true, func(m *miner, ac *accum) {
+						m.accumulatePairs(ac)
+					})
+					diffCells(t, name+" pairs", pairs, want)
+				}
+			}
+		}
+	}
+}
+
+// TestLevelVecDifferentialMapModeUnrooted is the map-mode dispatch under
+// the unrooted rule: a shared table big enough for map mode must give
+// the test-side brute force's items.
+func TestLevelVecDifferentialMapModeUnrooted(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	tr := treegen.Fanout(rng, treegen.Params{TreeSize: 150, Fanout: 5, AlphabetSize: 100})
+	opts := Options{MaxDist: MaxPackedDist, MinOccur: 1}
+	big := NewSymbols()
+	for i := 0; i < 3000; i++ {
+		big.Intern(fmt.Sprintf("pad%d", i))
+	}
+	big.InternTree(tr)
+	mapped := accumRule(tr, opts, big, true, func(m *miner, ac *accum) {
+		if ac.dense != nil {
+			t.Fatal("expected map mode")
+		}
+		m.accumulate(ac)
+	})
+	diffCells(t, "unrooted map mode", mapped, unrootedOracleCells(tr, opts, big))
 }
 
 // TestMineSteadyStateZeroAlloc is the allocation gate on the reworked

@@ -40,8 +40,19 @@ func DefaultOptions() Options {
 // Internally the pass runs on interned integer labels and a pooled
 // arena, so repeat calls allocate little beyond the returned ItemSet;
 // labels reappear as strings only in the result.
-func Mine(t *tree.Tree, opts Options) ItemSet {
-	m := getMiner(t, opts, nil)
+func Mine(t *tree.Tree, opts Options) ItemSet { return mine(t, opts, false) }
+
+// MineUnrooted is Mine under the unrooted level-pair rule of the
+// paper's §6 (DESIGN.md §59): t is a free tree oriented from one of its
+// nodes, and every pair of labeled nodes n ≥ 2 edges apart is an item
+// at distance n/2 − 1 (Eq. 7), adjacent nodes excluded — including a
+// node and its descendants, which have no rooted cousin distance.
+func MineUnrooted(t *tree.Tree, opts Options) ItemSet { return mine(t, opts, true) }
+
+func mine(t *tree.Tree, opts Options, unrooted bool) ItemSet {
+	m := minerPool.Get().(*miner)
+	m.unrooted = unrooted
+	m.reset(t, opts, nil)
 	defer m.release()
 	items := make(ItemSet)
 	if m.maxJ == 0 {
@@ -155,6 +166,12 @@ type miner struct {
 	maxJ   int // deepest bucket level, clamped to the tree height
 	nd     int // number of valid distance slots (MaxDist+1, min 0)
 
+	// unrooted selects the level-pair rule reset builds pairs for: §6's
+	// free-tree rule when set, else the rooted Eq. 1–3. release clears
+	// it, so a pooled miner starts under the rooted rule.
+	unrooted bool
+	pairs    []levelPair // the pass's level pairs, nondecreasing in j
+
 	// SoA copies of the tree's per-node structure, filled in one pass so
 	// the bucket-building walks touch flat arrays instead of chasing
 	// method calls into the tree.
@@ -192,6 +209,7 @@ func (m *miner) release() {
 	m.lv.sanitize()
 	m.t = nil
 	m.syms = nil
+	m.unrooted = false
 	minerPool.Put(m)
 }
 
@@ -199,9 +217,9 @@ func (m *miner) release() {
 // keys.
 func (m *miner) packed() bool { return packable(m.opts.MaxDist) }
 
-// reset points the miner at t and rebuilds the buckets in O(n · maxJ):
-// every labeled node v is recorded under each of its ≤ maxJ nearest
-// ancestors.
+// reset points the miner at t and rebuilds the level pairs and the
+// buckets in O(n · maxJ): every labeled node v is recorded under each of
+// its ≤ maxJ nearest ancestors.
 func (m *miner) reset(t *tree.Tree, opts Options, syms *Symbols) {
 	m.t, m.opts = t, opts
 	m.maxJ, m.nd = 0, 0
@@ -258,11 +276,15 @@ func (m *miner) reset(t *tree.Tree, opts Options, syms *Symbols) {
 		}
 	}
 
-	_, maxJ := opts.MaxDist.Levels()
+	maxJ := int(opts.MaxDist) + 2 // a vertical pair spans dc + 2 levels
+	if !m.unrooted {
+		_, maxJ = opts.MaxDist.Levels()
+	}
 	if maxJ > h {
 		maxJ = h // no bucket can be deeper than the tree
 	}
 	m.maxJ = maxJ
+	m.levelPairs()
 	if maxJ == 0 {
 		return
 	}
@@ -336,6 +358,47 @@ func (m *miner) bucket(c tree.NodeID, depth int) []tree.NodeID {
 	return m.flat[m.bucketStart[b]:m.bucketStart[b+1]]
 }
 
+// levelPair is one level combination a pass pairs below every LCA:
+// nodes i and j edges down, i ≤ j, counted at distance slot dc. i == 0
+// is a vertical pair: the labeled LCA itself with the labeled nodes j
+// edges below it.
+type levelPair struct{ i, j, dc int }
+
+// levelPairs fills m.pairs for the pass's rule in nondecreasing j, so
+// the per-LCA loops stop at the first pair deeper than the LCA's
+// subtree. The rooted rule gives Dist.Levels' one pair per distance.
+// The unrooted rule gives, for path length p = dc + 2, every split
+// i + j = p with 1 ≤ i ≤ j, and the vertical pair (0, p).
+func (m *miner) levelPairs() {
+	m.pairs = m.pairs[:0]
+	if !m.unrooted {
+		for d := Dist(0); d <= m.opts.MaxDist; d++ {
+			i, j := d.Levels()
+			if j > m.maxJ {
+				break // j is nondecreasing in d
+			}
+			m.pairs = append(m.pairs, levelPair{i, j, int(d)})
+		}
+		return
+	}
+	for j := 1; j <= m.maxJ; j++ {
+		for i := max(0, 2-j); i <= j && i+j-2 <= int(m.opts.MaxDist); i++ {
+			m.pairs = append(m.pairs, levelPair{i, j, i + j - 2})
+		}
+	}
+}
+
+// lcaKids returns a's children when a can be the LCA of a pair under
+// the pass's rule — two children or more, or under the unrooted rule a
+// labeled node with a child, for its vertical pairs — and nil otherwise.
+func (m *miner) lcaKids(a tree.NodeID) []tree.NodeID {
+	kids := m.t.Children(a)
+	if len(kids) > 1 || len(kids) == 1 && m.unrooted && m.t.Labeled(a) {
+		return kids
+	}
+	return nil
+}
+
 // forEachPair invokes visit once per qualified cousin node pair.
 func (m *miner) forEachPair(visit func(u, v tree.NodeID, d Dist)) {
 	if m.maxJ == 0 {
@@ -343,14 +406,21 @@ func (m *miner) forEachPair(visit func(u, v tree.NodeID, d Dist)) {
 	}
 	t := m.t
 	for a := tree.NodeID(0); a < tree.NodeID(t.Size()); a++ {
-		kids := t.Children(a)
-		if len(kids) < 2 {
+		kids := m.lcaKids(a)
+		if kids == nil {
 			continue
 		}
-		for d := Dist(0); d <= m.opts.MaxDist; d++ {
-			i, j := d.Levels()
-			if j > m.maxJ {
-				break // j is nondecreasing in d
+		for _, p := range m.pairs {
+			i, j, d := p.i, p.j, Dist(p.dc)
+			if i == 0 {
+				if t.Labeled(a) {
+					for _, c := range kids {
+						for _, v := range m.bucket(c, j) {
+							visit(a, v, d)
+						}
+					}
+				}
+				continue
 			}
 			// For i == j each unordered child pair is visited once; for
 			// i != j the depth roles are distinct so all ordered child
@@ -403,16 +473,23 @@ func (m *miner) accumulatePairs(ac *accum) {
 	}
 	t, nodeSym := m.t, m.nodeSym
 	for a := tree.NodeID(0); a < tree.NodeID(t.Size()); a++ {
-		kids := t.Children(a)
-		if len(kids) < 2 {
+		kids := m.lcaKids(a)
+		if kids == nil {
 			continue
 		}
-		for d := Dist(0); d <= m.opts.MaxDist; d++ {
-			i, j := d.Levels()
-			if j > m.maxJ {
-				break
+		for _, p := range m.pairs {
+			i, j, dc := p.i, p.j, p.dc
+			if i == 0 {
+				if t.Labeled(a) {
+					sa := nodeSym[a]
+					for _, c := range kids {
+						for _, v := range m.bucket(c, j) {
+							ac.add(sa, nodeSym[v], dc, 1)
+						}
+					}
+				}
+				continue
 			}
-			dc := int(d)
 			for x1, c1 := range kids {
 				us := m.bucket(c1, i)
 				if len(us) == 0 {

@@ -252,15 +252,12 @@ func benchSeed(b *testing.B, shape string) {
 
 // BenchmarkMineCore is the ablation suite of the §48 rework: seed
 // pair enumeration (against the replica of the original accumulator)
-// vs symbol-vector counting vs the word-blocked sweep, at the Fig6
+// vs the word-blocked symbol-vector sweep, at the Fig6
 // shape (mostly distinct labels — the hard case for the counting
 // identity) and a label-dense shape (its best case).
 func BenchmarkMineCore(b *testing.B) {
 	for _, shape := range []string{"fig6", "dense", "hub"} {
 		b.Run(shape+"/seed", func(b *testing.B) { benchSeed(b, shape) })
-		b.Run(shape+"/symvec", func(b *testing.B) {
-			benchAccumulate(b, shape, func(m *miner, ac *accum) { m.accumulateSymVec(ac) })
-		})
 		b.Run(shape+"/blocked", func(b *testing.B) {
 			benchAccumulate(b, shape, func(m *miner, ac *accum) { m.accumulateBlocked(ac) })
 		})

@@ -165,10 +165,10 @@ func mineTreeSupport(m *miner, opts ForestOptions, sup supportSink) {
 }
 
 // forestItems is the string-keyed per-tree step for options the packed
-// keys cannot represent: t's item set, collapsed per label pair under
-// IgnoreDist.
-func forestItems(t *tree.Tree, opts ForestOptions) ItemSet {
-	items := Mine(t, opts.Options)
+// keys cannot represent: t's item set under the rooted or unrooted rule,
+// collapsed per label pair under IgnoreDist.
+func forestItems(t *tree.Tree, opts ForestOptions, unrooted bool) ItemSet {
+	items := mine(t, opts.Options, unrooted)
 	if opts.IgnoreDist {
 		items = items.IgnoreDist()
 	}

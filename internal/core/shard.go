@@ -104,12 +104,19 @@ func (sh *SupportShard) Len() int {
 // labels are interned into the shard's own symbol table as they appear —
 // no up-front whole-forest symbol pass is needed, which is what makes
 // shards streamable.
-func (sh *SupportShard) AddTree(t *tree.Tree) {
+func (sh *SupportShard) AddTree(t *tree.Tree) { sh.addTree(t, false) }
+
+// AddUnrooted is AddTree for a free tree oriented from one of its nodes:
+// t is mined under MineUnrooted's level-pair rule (DESIGN.md §59). One
+// shard may take both kinds of tree; the rule belongs to the call.
+func (sh *SupportShard) AddUnrooted(t *tree.Tree) { sh.addTree(t, true) }
+
+func (sh *SupportShard) addTree(t *tree.Tree, unrooted bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.trees++
 	if sh.sup == nil {
-		for k := range forestItems(t, sh.opts) {
+		for k := range forestItems(t, sh.opts, unrooted) {
 			sh.gsup[k]++
 		}
 		return
@@ -123,6 +130,7 @@ func (sh *SupportShard) AddTree(t *tree.Tree) {
 		m = new(miner)
 	}
 	sh.miner = nil
+	m.unrooted = unrooted
 	m.reset(t, sh.opts.Options, sh.syms)
 	mineTreeSupport(m, sh.opts, sh.sink(1))
 	m.t = nil // keep no tree alive: a stream's live heap is one round

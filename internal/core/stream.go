@@ -306,7 +306,7 @@ func (sh *SupportShard) addRound(ctx context.Context, buf []*tree.Tree, base int
 		err := forEachWorker(workers, func(w int) error {
 			gprivs[w] = make(map[Key]int64)
 			return mineStride(ctx, buf, base, w, workers, func(t *tree.Tree) {
-				for k := range forestItems(t, sh.opts) {
+				for k := range forestItems(t, sh.opts, false) {
 					gprivs[w][k]++
 				}
 			})

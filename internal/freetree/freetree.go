@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"treemine/internal/core"
+	"treemine/internal/tree"
 )
 
 // Errors reported by graph construction.
@@ -104,294 +105,79 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("%w (%d nodes, %d edges)", ErrDisconnected, n, g.edges)
 	}
 	// n−1 edges: connected ⟺ acyclic; check connectivity by BFS.
-	seen := make([]bool, n)
-	queue := []int{0}
-	seen[0] = true
-	count := 1
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				count++
-				queue = append(queue, v)
-			}
-		}
-	}
-	if count != n {
+	if count := g.bfs(func(u, v int) {}); count != n {
 		return fmt.Errorf("%w (reached %d of %d nodes)", ErrDisconnected, count, n)
 	}
 	return nil
 }
 
-// Mine finds every cousin pair item of the free tree g with distance at
-// most opts.MaxDist and occurrence at least opts.MinOccur, implementing
-// the rooted-conversion algorithm of §6: an arbitrary edge is subdivided
-// by an artificial root r, and for each distance d all level
-// combinations (i, j) with i + j = 2(d+1) are enumerated below every
-// potential meeting node — or i + j = 2(d+1)+1 below r itself, to
-// account for the extra edge the subdivision inserted (Eq. 8–10). The
-// caller should Validate first; Mine returns an error otherwise.
-func Mine(g *Graph, opts core.Options) (core.ItemSet, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	items := make(core.ItemSet)
-	if g.Size() < 2 || opts.MaxDist < 0 {
-		return items.FilterMinOccur(opts.MinOccur), nil
-	}
-	r := rootedView(g)
-	// Deepest level reachable by any qualified pair: at the artificial
-	// root i + j = n+1 edges with n = maxdist·2 + 2 and the partner at
-	// least at level 1, so j ≤ n + 1 − 1 = int(MaxDist) + 2.
-	maxJ := int(opts.MaxDist) + 2
-	groups := r.buildGroups(maxJ)
-	for _, d := range core.ValidDistances(opts.MaxDist) {
-		pathLen := int(d) + 2 // edges between the cousins: n = 2(dist+1)
-		for a, g2 := range groups {
-			target := pathLen
-			if a == 0 { // the artificial root: one extra edge (Eq. 10)
-				target = pathLen + 1
-			}
-			for i := 1; 2*i < target; i++ {
-				emitCross(r, g2, i, target-i, d, items)
-			}
-			if target%2 == 0 {
-				emitCross(r, g2, target/2, target/2, d, items)
-			}
-			// Vertical pairs: unrooted trees have no ancestors, so a
-			// labeled node a and a labeled node pathLen edges straight
-			// below it in the rooted view are cousins too — a case the
-			// up-i/down-j enumeration (i, j ≥ 1) cannot reach.
-			if a != 0 && r.g.labeled[r.orig[a]] {
-				emitVertical(r, a, g2, pathLen, d, items)
-			}
-		}
-	}
-	return items.FilterMinOccur(opts.MinOccur), nil
-}
-
-// NaiveMine is the brute-force oracle: BFS from every labeled node
-// counting path lengths, then d = n/2 − 1 (Eq. 7).
-func NaiveMine(g *Graph, opts core.Options) (core.ItemSet, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	items := make(core.ItemSet)
-	n := g.Size()
-	for u := 0; u < n; u++ {
-		if !g.labeled[u] {
-			continue
-		}
-		dist := make([]int, n)
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[u] = 0
-		queue := []int{u}
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			for _, y := range g.adj[x] {
-				if dist[y] < 0 {
-					dist[y] = dist[x] + 1
-					queue = append(queue, y)
-				}
-			}
-		}
-		for v := u + 1; v < n; v++ {
-			if !g.labeled[v] || dist[v] < 2 {
-				continue
-			}
-			d := core.Dist(dist[v] - 2) // halves: n/2−1 ⇒ 2d = n−2
-			if d > opts.MaxDist {
-				continue
-			}
-			items[core.NewKey(g.labels[u], g.labels[v], d)]++
-		}
-	}
-	return items.FilterMinOccur(opts.MinOccur), nil
-}
-
-// rooted is the rooted view of a free tree: node 0 is the artificial
-// root subdividing the chosen edge; nodes 1.. map back to graph nodes.
-type rooted struct {
-	g        *Graph
-	parent   []int   // parent in the rooted view, -1 for the root
-	children [][]int // children in the rooted view
-	orig     []int   // rooted-view index → graph node (-1 for the root)
-}
-
-// rootedView subdivides the first edge of the graph with an artificial
-// root. The graph has at least two nodes (hence at least one edge).
-func rootedView(g *Graph) *rooted {
-	n := g.Size()
-	r := &rooted{
-		g:        g,
-		parent:   make([]int, n+1),
-		children: make([][]int, n+1),
-		orig:     make([]int, n+1),
-	}
-	// Pick the edge between node 0 and its first neighbor.
-	x, y := 0, g.adj[0][0]
-	r.parent[0] = -1
-	r.orig[0] = -1
-	// Graph node v is rooted-view node v+1.
-	for v := 0; v < n; v++ {
-		r.orig[v+1] = v
-	}
-	attach := func(child, par int) {
-		r.parent[child+1] = par
-		r.children[par] = append(r.children[par], child+1)
-	}
-	attach(x, 0)
-	attach(y, 0)
-	// BFS orienting away from the subdivided edge.
-	seen := make([]bool, n)
-	seen[x], seen[y] = true, true
-	queue := []int{x, y}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+// bfs walks g breadth-first from node 0, calling reach(u, v) when node
+// v is first reached from u, and returns the number of nodes reached.
+func (g *Graph) bfs(reach func(u, v int)) int {
+	seen := make([]bool, len(g.adj))
+	seen[0] = true
+	queue := []int{0}
+	for k := 0; k < len(queue); k++ {
+		u := queue[k]
 		for _, v := range g.adj[u] {
-			if u == x && v == y || u == y && v == x {
-				continue
-			}
 			if !seen[v] {
 				seen[v] = true
-				attach(v, u+1)
+				reach(u, v)
 				queue = append(queue, v)
 			}
 		}
 	}
-	return r
+	return len(queue)
 }
 
-// buildGroups returns, for every rooted-view node a, the labeled
-// descendants grouped by (child subtree of a, depth below a), for depths
-// up to maxJ. groups[a][ci][depth-1] lists graph nodes.
-func (r *rooted) buildGroups(maxJ int) map[int][][][]int {
-	groups := make(map[int][][][]int)
-	childIndex := make([]int, len(r.parent))
-	for a := range r.children {
-		for i, c := range r.children[a] {
-			childIndex[c] = i
-		}
+// Mine finds every cousin pair item of the free tree g with distance at
+// most opts.MaxDist and occurrence at least opts.MinOccur, implementing
+// the rooted conversion of §6: g is oriented from node 0 and mined by
+// core.MineUnrooted, which pairs the labeled nodes below every node at
+// the level combinations (i, j) with i + j = 2(d+1), and a labeled node
+// with its labeled descendants 2(d+1) levels down. Rooting at a real
+// node rather than subdividing an edge leaves no "+1 edge at the root"
+// case (Eq. 10); DESIGN.md §59 shows the results are equal. The caller
+// should Validate first; Mine returns an error otherwise.
+func Mine(g *Graph, opts core.Options) (core.ItemSet, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
-	for v := 1; v < len(r.parent); v++ {
-		ov := r.orig[v]
-		if !r.g.labeled[ov] {
-			continue
-		}
-		child := v
-		a := r.parent[v]
-		for depth := 1; depth <= maxJ && a >= 0; depth++ {
-			gr := groups[a]
-			if gr == nil {
-				gr = make([][][]int, len(r.children[a]))
-				groups[a] = gr
-			}
-			ci := childIndex[child]
-			for len(gr[ci]) < depth {
-				gr[ci] = append(gr[ci], nil)
-			}
-			gr[ci][depth-1] = append(gr[ci][depth-1], ov)
-			child = a
-			a = r.parent[a]
-		}
+	if g.Size() == 0 {
+		return make(core.ItemSet), nil
 	}
-	return groups
+	return core.MineUnrooted(g.orient(), opts), nil
 }
 
-// emitCross counts label pairs between depth-i nodes of one child
-// subtree and depth-j nodes of a different child subtree. For i == j
-// unordered child pairs are visited once.
-func emitCross(r *rooted, g2 [][][]int, i, j int, d core.Dist, items core.ItemSet) {
-	for c1 := range g2 {
-		if len(g2[c1]) < i {
-			continue
-		}
-		us := g2[c1][i-1]
-		if len(us) == 0 {
-			continue
-		}
-		start := 0
-		if i == j {
-			start = c1 + 1
-		}
-		for c2 := start; c2 < len(g2); c2++ {
-			if c2 == c1 || len(g2[c2]) < j {
-				continue
-			}
-			for _, u := range us {
-				for _, v := range g2[c2][j-1] {
-					items[core.NewKey(r.g.labels[u], r.g.labels[v], d)]++
-				}
-			}
+// orient returns g as a rooted tree: node 0 is the root and every other
+// node hangs below the node BFS first reached it from, so a child's tree
+// ID is always above its parent's. g must be valid and non-empty.
+func (g *Graph) orient() *tree.Tree {
+	b := tree.NewBuilder(g.Size())
+	id := make([]tree.NodeID, g.Size())
+	id[0] = b.RootUnlabeled()
+	g.bfs(func(u, v int) { id[v] = b.ChildUnlabeled(id[u]) })
+	for v, ok := range g.labeled {
+		if ok {
+			b.SetLabel(id[v], g.labels[v])
 		}
 	}
+	return b.MustBuild()
 }
 
-// emitVertical counts pairs between the labeled node a and every labeled
-// node exactly depth edges below it in the rooted view.
-func emitVertical(r *rooted, a int, g2 [][][]int, depth int, d core.Dist, items core.ItemSet) {
-	la := r.g.labels[r.orig[a]]
-	for c := range g2 {
-		if len(g2[c]) < depth {
-			continue
-		}
-		for _, v := range g2[c][depth-1] {
-			items[core.NewKey(la, r.g.labels[v], d)]++
-		}
-	}
-}
-
-// MineForest finds frequent cousin pairs across multiple free trees,
-// mirroring core.MineForest. Graphs failing validation abort with an
-// error.
+// MineForest finds frequent cousin pairs across multiple free trees: each
+// graph is oriented and folded into one core.SupportShard under the
+// unrooted rule, so the result has core.MineForest's shape and order.
+// Graphs failing validation abort with an error.
 func MineForest(graphs []*Graph, opts core.ForestOptions) ([]core.FrequentPair, error) {
-	support := make(map[core.Key]int)
+	sh := core.NewSupportShard(opts)
 	for gi, g := range graphs {
-		items, err := Mine(g, opts.Options)
-		if err != nil {
+		if err := g.Validate(); err != nil {
 			return nil, fmt.Errorf("freetree: graph %d: %w", gi, err)
 		}
-		if opts.IgnoreDist {
-			items = items.IgnoreDist()
-		}
-		for k := range items {
-			support[k]++
+		if g.Size() > 0 {
+			sh.AddUnrooted(g.orient())
 		}
 	}
-	var out []core.FrequentPair
-	for k, s := range support {
-		if s >= opts.MinSup {
-			out = append(out, core.FrequentPair{Key: k, Support: s})
-		}
-	}
-	sortFrequent(out)
-	return out, nil
-}
-
-func sortFrequent(fp []core.FrequentPair) {
-	// Same ordering as core.MineForest: support desc, then key.
-	for i := 1; i < len(fp); i++ {
-		for j := i; j > 0 && lessFrequent(fp[j], fp[j-1]); j-- {
-			fp[j], fp[j-1] = fp[j-1], fp[j]
-		}
-	}
-}
-
-func lessFrequent(a, b core.FrequentPair) bool {
-	if a.Support != b.Support {
-		return a.Support > b.Support
-	}
-	if a.Key.A != b.Key.A {
-		return a.Key.A < b.Key.A
-	}
-	if a.Key.B != b.Key.B {
-		return a.Key.B < b.Key.B
-	}
-	return a.Key.D < b.Key.D
+	return sh.Finalize(opts.MinSup), nil
 }

@@ -4,11 +4,93 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"treemine/internal/core"
 )
+
+// naiveMine is the brute-force oracle: BFS from every labeled node
+// counting path lengths, then d = n/2 − 1 (Eq. 7).
+func naiveMine(g *Graph, opts core.Options) (core.ItemSet, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	items := make(core.ItemSet)
+	n := g.Size()
+	for u := 0; u < n; u++ {
+		if !g.labeled[u] {
+			continue
+		}
+		dist := make([]int, n)
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[u] = 0
+		queue := []int{u}
+		for len(queue) > 0 {
+			x := queue[0]
+			queue = queue[1:]
+			for _, y := range g.adj[x] {
+				if dist[y] < 0 {
+					dist[y] = dist[x] + 1
+					queue = append(queue, y)
+				}
+			}
+		}
+		for v := u + 1; v < n; v++ {
+			if !g.labeled[v] || dist[v] < 2 {
+				continue
+			}
+			d := core.Dist(dist[v] - 2) // halves: n/2−1 ⇒ 2d = n−2
+			if d > opts.MaxDist {
+				continue
+			}
+			items[core.NewKey(g.labels[u], g.labels[v], d)]++
+		}
+	}
+	return items.FilterMinOccur(opts.MinOccur), nil
+}
+
+// naiveForest is MineForest by brute force: per-graph naiveMine items,
+// collapsed per label pair under IgnoreDist, counted once per graph,
+// filtered by MinSup and sorted as core.MineForest sorts.
+func naiveForest(graphs []*Graph, opts core.ForestOptions) ([]core.FrequentPair, error) {
+	support := map[core.Key]int{}
+	for _, g := range graphs {
+		items, err := naiveMine(g, opts.Options)
+		if err != nil {
+			return nil, err
+		}
+		if opts.IgnoreDist {
+			items = items.IgnoreDist()
+		}
+		for k := range items {
+			support[k]++
+		}
+	}
+	var out []core.FrequentPair
+	for k, n := range support {
+		if n >= opts.MinSup {
+			out = append(out, core.FrequentPair{Key: k, Support: n})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Support != b.Support {
+			return a.Support > b.Support
+		}
+		if a.Key.A != b.Key.A {
+			return a.Key.A < b.Key.A
+		}
+		if a.Key.B != b.Key.B {
+			return a.Key.B < b.Key.B
+		}
+		return a.Key.D < b.Key.D
+	})
+	return out, nil
+}
 
 // path builds the labeled path a—b—c—…
 func path(t *testing.T, labels ...string) *Graph {
@@ -119,8 +201,8 @@ func TestMineStar(t *testing.T) {
 func TestMinePaperCombinationExample(t *testing.T) {
 	// §6: for distance 2 the level combinations are (1,5) … (5,1):
 	// n = 6 edges. On a path of 7 labeled nodes the endpoints are 6
-	// edges apart, so exactly one pair at distance 2 regardless of which
-	// edge the artificial root subdivides.
+	// edges apart, so exactly one pair at distance 2. Rooted at n1, the
+	// pair is the vertical (0,6).
 	g := path(t, "n1", "n2", "n3", "n4", "n5", "n6", "n7")
 	items, err := Mine(g, core.Options{MaxDist: core.D(4), MinOccur: 1})
 	if err != nil {
@@ -138,7 +220,7 @@ func TestMineInvalidGraph(t *testing.T) {
 	if _, err := Mine(g, core.DefaultOptions()); !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := NaiveMine(g, core.DefaultOptions()); !errors.Is(err, ErrDisconnected) {
+	if _, err := naiveMine(g, core.DefaultOptions()); !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("naive err = %v", err)
 	}
 }
@@ -185,13 +267,15 @@ func TestMineEquivalentToNaive(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(size)%40 + 1
 		g := randFreeTree(rng, n)
-		opts := core.Options{MaxDist: core.Dist(maxD % 10), MinOccur: 1}
+		// Up to 20 halves: past core.MaxPackedDist (14) the string-keyed
+		// path runs the unrooted rule.
+		opts := core.Options{MaxDist: core.Dist(maxD % 21), MinOccur: 1}
 		fast, err := Mine(g, opts)
 		if err != nil {
 			t.Logf("Mine error: %v", err)
 			return false
 		}
-		slow, err := NaiveMine(g, opts)
+		slow, err := naiveMine(g, opts)
 		if err != nil {
 			t.Logf("NaiveMine error: %v", err)
 			return false
@@ -209,9 +293,9 @@ func TestMineEquivalentToNaive(t *testing.T) {
 }
 
 func TestMineRootEdgeIndependence(t *testing.T) {
-	// The result must not depend on which edge the artificial root
-	// subdivides. rootedView picks the first edge of node 0, so reorder
-	// node insertion to vary the choice and compare.
+	// The result must not depend on where the free tree is rooted. Mine
+	// orients it from node 0, so reorder node insertion to vary the
+	// root and compare.
 	f := func(seed int64, size uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(size)%25 + 2
@@ -266,5 +350,139 @@ func TestMineForestFreeTrees(t *testing.T) {
 	bad.AddNode("r")
 	if _, err := MineForest([]*Graph{g1, bad}, opts); err == nil {
 		t.Fatal("expected error for invalid graph in forest")
+	}
+}
+
+// TestMineForestEquivalentToNaive quick-checks MineForest against
+// per-graph brute-force support over random forests: MinOccur 1–3,
+// IgnoreDist on and off, and maxdist up to 20 halves, so both the packed
+// shard and the string-keyed one past core.MaxPackedDist run.
+func TestMineForestEquivalentToNaive(t *testing.T) {
+	f := func(seed int64, count, maxD, minOccur uint8, ignore bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		graphs := make([]*Graph, int(count)%6+1)
+		for i := range graphs {
+			graphs[i] = randFreeTree(rng, rng.Intn(30)+1)
+		}
+		opts := core.ForestOptions{
+			Options:    core.Options{MaxDist: core.Dist(maxD % 21), MinOccur: int(minOccur)%3 + 1},
+			MinSup:     rng.Intn(3) + 1,
+			IgnoreDist: ignore,
+		}
+		fast, err := MineForest(graphs, opts)
+		if err != nil {
+			t.Logf("MineForest error: %v", err)
+			return false
+		}
+		slow, err := naiveForest(graphs, opts)
+		if err != nil {
+			t.Logf("naive error: %v", err)
+			return false
+		}
+		if !reflect.DeepEqual(fast, slow) {
+			t.Logf("seed=%d opts=%+v\nfast=%v\nslow=%v", seed, opts, fast, slow)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMineShapes pins Mine to the oracle on the shapes where the rooted
+// conversion has its special cases: unlabeled hubs, stars rooted at the
+// center and at a leaf, paths rooted at an end and in the middle, and
+// labeled nodes with one child (vertical pairs under an only child).
+func TestMineShapes(t *testing.T) {
+	star := func(center bool, leaves int) *Graph {
+		g := NewGraph()
+		if center {
+			g.AddNode("c")
+		} else {
+			g.AddNodeUnlabeled()
+		}
+		for i := 0; i < leaves; i++ {
+			if err := g.AddEdge(0, g.AddNode(string(rune('a'+i%3)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	// leafStar is a star whose node 0 — the root Mine orients from — is a
+	// leaf, so the center is a labeled node with many children below an
+	// only child.
+	leafStar := func() *Graph {
+		g := NewGraph()
+		leaf := g.AddNode("x")
+		c := g.AddNode("c")
+		if err := g.AddEdge(leaf, c); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []string{"a", "b", "a"} {
+			if err := g.AddEdge(c, g.AddNode(l)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	// midPath is a labeled path whose node 0 sits in the middle.
+	midPath := func() *Graph {
+		g := NewGraph()
+		mid := g.AddNode("m")
+		for _, side := range [][]string{{"a", "b", "c", "d"}, {"a", "b", "e"}} {
+			prev := mid
+			for _, l := range side {
+				n := g.AddNode(l)
+				if err := g.AddEdge(prev, n); err != nil {
+					t.Fatal(err)
+				}
+				prev = n
+			}
+		}
+		return g
+	}
+	// unlabeledChain alternates labeled and unlabeled nodes on a path,
+	// with an unlabeled node 0.
+	unlabeledChain := func() *Graph {
+		g := NewGraph()
+		prev := g.AddNodeUnlabeled()
+		for i := 0; i < 8; i++ {
+			var n int
+			if i%2 == 0 {
+				n = g.AddNode(string(rune('a' + i%3)))
+			} else {
+				n = g.AddNodeUnlabeled()
+			}
+			if err := g.AddEdge(prev, n); err != nil {
+				t.Fatal(err)
+			}
+			prev = n
+		}
+		return g
+	}
+	graphs := map[string]*Graph{
+		"star":            star(true, 5),
+		"unlabeled hub":   star(false, 6),
+		"star from leaf":  leafStar(),
+		"path from end":   path(t, "a", "b", "a", "c", "b", "a", "d", "e"),
+		"path from mid":   midPath(),
+		"unlabeled chain": unlabeledChain(),
+	}
+	for name, g := range graphs {
+		for _, md := range []core.Dist{0, 1, 2, 5, 14, 15, 20} {
+			opts := core.Options{MaxDist: md, MinOccur: 1}
+			fast, err := Mine(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow, err := naiveMine(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fast, slow) {
+				t.Errorf("%s maxdist=%s:\nfast=%v\nslow=%v", name, md, fast.Items(), slow.Items())
+			}
+		}
 	}
 }

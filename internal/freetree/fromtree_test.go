@@ -114,7 +114,7 @@ func TestMLToFreeTreePipeline(t *testing.T) {
 		t.Fatal("ML free tree mined to nothing")
 	}
 	// Cross-check against the oracle.
-	slow, err := NaiveMine(g, core.DefaultOptions())
+	slow, err := naiveMine(g, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,14 +62,14 @@ func FoldManifestShards(master *core.SupportShard, m *Manifest, keepGoing bool) 
 	for _, p := range m.Partitions {
 		path := m.ShardPath(p.Index)
 		pe := &PartitionError{Index: p.Index, TreesWant: p.Trees}
-		// FoldShardFile validates before touching the master, so a shard
-		// that changed (or broke) since it verified leaves it clean.
-		if pe.TreesGot, pe.Err = VerifyShardFile(path, m.Options.ForestOptions()); pe.Err == nil && pe.TreesGot == p.Trees {
-			if _, pe.Err = FoldShardFile(master, path); pe.Err == nil {
-				rep.Merged = append(rep.Merged, p.Index)
-				rep.TreesMerged += p.Trees
-				continue
-			}
+		// One validating pass, then the fold — and the fold only when
+		// the shard covers the planned trees, so a bad shard leaves the
+		// master clean.
+		pe.TreesGot, pe.Err = scanShardFile(path, m.Options.ForestOptions(), master, p.Trees)
+		if pe.Err == nil && pe.TreesGot == p.Trees {
+			rep.Merged = append(rep.Merged, p.Index)
+			rep.TreesMerged += p.Trees
+			continue
 		}
 		if pe.Err != nil {
 			pe.TreesGot = -1

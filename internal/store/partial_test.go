@@ -191,3 +191,31 @@ func TestVerifyShardFile(t *testing.T) {
 		t.Fatal("torn shard verified")
 	}
 }
+
+// TestFoldManifestShardsSpilledTally: a spilled shard that verifies but
+// covers other than the planned trees is refused after its one verify
+// scan — reported with the tally it carries, never folded.
+func TestFoldManifestShardsSpilledTally(t *testing.T) {
+	dir := t.TempDir()
+	m, forest := foldFixtureTrees(t, dir, 10, 2)
+	opts := m.Options.ForestOptions()
+	p1 := m.Partitions[1]
+	items := []core.ShardItem{{A: 0, B: 1, D: core.D(0), N: 3}, {A: 1, B: 1, D: core.D(1), N: 2}}
+	writeSpilledShard(t, m.ShardPath(1), opts, p1.Trees+1, []string{"x", "y"}, items)
+
+	master := core.NewSupportShard(opts)
+	rep, err := FoldManifestShards(master, m, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Failed) != 1 {
+		t.Fatalf("failed = %v, want partition 1 alone", rep.Failed)
+	}
+	if pe := rep.Failed[0]; pe.Index != 1 || pe.TreesGot != p1.Trees+1 || pe.TreesWant != p1.Trees || pe.Err != nil {
+		t.Fatalf("tally-mismatch error = %+v", pe)
+	}
+	p0 := m.Partitions[0]
+	if !bytes.Equal(shardBytes(t, master), shardBytes(t, mineShard(forest[p0.Skip:p0.Skip+p0.Trees], opts))) {
+		t.Fatal("the refused spilled shard reached the master")
+	}
+}

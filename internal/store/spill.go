@@ -685,21 +685,7 @@ func scanSpilled(path string, opts core.ForestOptions, master *core.SupportShard
 // the coordinator's skip-completed probe: a shard that verifies counts
 // as done, so a resumed run re-mines only the ranges that don't.
 func VerifyShardFile(path string, opts core.ForestOptions) (trees int, err error) {
-	spilled, err := sniffSpillMagic(path)
-	if err != nil {
-		return 0, err
-	}
-	if spilled {
-		return scanSpilled(path, opts, nil)
-	}
-	sh, err := loadShardFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if sh.Options() != opts {
-		return 0, fmt.Errorf("store: shard mined with options %+v, master wants %+v", sh.Options(), opts)
-	}
-	return sh.Trees(), nil
+	return scanShardFile(path, opts, nil, -1)
 }
 
 // FoldShardFile folds a worker shard file — v3 or spilled, sniffed by
@@ -709,22 +695,41 @@ func VerifyShardFile(path string, opts core.ForestOptions) (trees int, err error
 // master. The folded file's tree tally is returned for provenance
 // checks.
 func FoldShardFile(master *core.SupportShard, path string) (trees int, err error) {
+	return scanShardFile(path, master.Options(), master, -1)
+}
+
+// scanShardFile is VerifyShardFile and FoldShardFile in one: it
+// validates the shard file at path against opts — one streaming scan of
+// a spilled file, one decode of a v3 checkpoint — and returns its tree
+// tally. With a master, and when the tally is want (any tally for
+// want < 0), it then folds the file in: a spilled file in a second
+// scan, a v3 one from the decode it already holds. A tally other than
+// want comes back with a nil error and the master untouched.
+func scanShardFile(path string, opts core.ForestOptions, master *core.SupportShard, want int) (trees int, err error) {
+	if master != nil && master.Options() != opts {
+		return 0, fmt.Errorf("store: master holds options %+v, shard must carry %+v", master.Options(), opts)
+	}
 	spilled, err := sniffSpillMagic(path)
 	if err != nil {
 		return 0, err
 	}
+	var sh *core.SupportShard
 	if spilled {
-		if _, err := scanSpilled(path, master.Options(), nil); err != nil {
-			return 0, err
+		trees, err = scanSpilled(path, opts, nil)
+	} else if sh, err = loadShardFile(path); err == nil {
+		trees = sh.Trees()
+		if sh.Options() != opts {
+			err = fmt.Errorf("store: shard mined with options %+v, master wants %+v", sh.Options(), opts)
 		}
-		return scanSpilled(path, master.Options(), master)
 	}
-	sh, err := loadShardFile(path)
 	if err != nil {
 		return 0, err
 	}
-	if err := master.Merge(sh); err != nil {
-		return 0, err
+	if master == nil || want >= 0 && trees != want {
+		return trees, nil
 	}
-	return sh.Trees(), nil
+	if spilled {
+		return scanSpilled(path, opts, master)
+	}
+	return trees, master.Merge(sh)
 }

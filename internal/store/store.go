@@ -124,12 +124,14 @@ func (ix *Index) Save(w io.Writer) error {
 	saved := savedIndexV2{Options: ix.Options, Trees: make([]savedTreeV2, len(ix.Entries))}
 	for i, e := range ix.Entries {
 		st := savedTreeV2{Name: e.Name, Nodes: e.Nodes, Items: make([]savedItem, 0, len(e.Items))}
-		for k, n := range e.Items {
+		// Sorted items intern symbols and write items in one fixed order,
+		// so equal indexes save to equal bytes.
+		for _, it := range e.Items.Items() {
 			st.Items = append(st.Items, savedItem{
-				A: syms.Intern(k.A),
-				B: syms.Intern(k.B),
-				D: k.D,
-				N: n,
+				A: syms.Intern(it.Key.A),
+				B: syms.Intern(it.Key.B),
+				D: it.Key.D,
+				N: it.Occur,
 			})
 		}
 		saved.Trees[i] = st

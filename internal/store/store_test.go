@@ -115,6 +115,33 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveIsReproducible saves one multi-tree index repeatedly, and a
+// loaded copy of it, and requires the same bytes every time: items are
+// written in sorted order, never in map iteration order.
+func TestSaveIsReproducible(t *testing.T) {
+	ix, err := Build(fixtureForest(5, 12), nil, core.Options{MaxDist: core.D(4), MinOccur: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first bytes.Buffer
+	if err := ix.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range []*Index{ix, ix, ix, back, back} {
+		var again bytes.Buffer
+		if err := x.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), first.Bytes()) {
+			t.Fatalf("save %d differs from the first save", i+1)
+		}
+	}
+}
+
 func TestLoadV1Fixture(t *testing.T) {
 	// Author a version-1 file the way the old Save did — magicV1 header
 	// followed by a gob of the string-keyed payload — and check the
