@@ -1,5 +1,5 @@
 # Standard checks for the treemine repo. `make check` is the tier-1
-# gate (vet + build + full tests); `make race` re-runs the concurrent
+# gate (vet + the test-oracle import fence + build + full tests); `make race` re-runs the concurrent
 # code — multi-worker forest mining, shard merging, the streaming pipeline,
 # the parallel distance-matrix fill, and the parallel parsimony search —
 # under the race detector (the CI gate runs `make check race chaos`);
@@ -40,12 +40,22 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check vet build test race chaos chaos-dist fuzz smoke smoke-dist bench bench-dist bench-parsimony bench-mine bench-merge bench-gate bench-distmine bench-parse
+.PHONY: check vet fence build test race chaos chaos-dist fuzz smoke smoke-dist bench bench-dist bench-parsimony bench-mine bench-merge bench-gate bench-distmine bench-parse
 
-check: vet build test
+check: vet fence build test
 
 vet:
 	$(GO) vet ./...
+
+# The test oracle shares no code with what it checks: no non-test
+# package but cmd/benchpaper (the ablation baseline) imports
+# internal/oracle, and it depends on no treemine package but
+# internal/tree and internal/lca (DESIGN.md §60).
+fence:
+	@bad=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -E ' treemine/internal/oracle( |$$)' | grep -v '^treemine/cmd/benchpaper ' | cut -d' ' -f1); \
+	if [ -n "$$bad" ]; then echo "fence: internal/oracle imported by non-test code: $$bad"; exit 1; fi
+	@bad=$$($(GO) list -deps ./internal/oracle | grep '^treemine/' | grep -vx -e treemine/internal/oracle -e treemine/internal/tree -e treemine/internal/lca); \
+	if [ -n "$$bad" ]; then echo "fence: internal/oracle depends on $$bad"; exit 1; fi
 
 build:
 	$(GO) build ./...

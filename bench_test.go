@@ -16,6 +16,7 @@ import (
 	"treemine/internal/consensus"
 	"treemine/internal/core"
 	"treemine/internal/kernel"
+	"treemine/internal/oracle"
 	"treemine/internal/parsimony"
 	"treemine/internal/seqsim"
 	"treemine/internal/tree"
@@ -214,7 +215,8 @@ func BenchmarkFig10Kernel(b *testing.B) {
 // BenchmarkAblationMiner compares the three single-tree mining
 // strategies on the same workload: the paper-style pair enumeration
 // (Mine), the histogram aggregation (MineCounts), and the naive
-// all-pairs LCA baseline (NaiveMine). This is the ablation DESIGN.md
+// all-pairs LCA baseline (NaiveMine, the test oracle's brute-force
+// miner). This is the ablation DESIGN.md
 // calls out for the guided-enumeration design choice.
 func BenchmarkAblationMiner(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -241,7 +243,7 @@ func BenchmarkAblationMiner(b *testing.B) {
 	b.Run("NaiveMine", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			core.NaiveMine(t, opts)
+			oracle.MineRooted(t, int(opts.MaxDist), opts.MinOccur)
 		}
 	})
 }

@@ -6,13 +6,15 @@ package main
 // algorithm), histogram aggregation, the §7 dynamic-programming
 // alternative, and the naive all-pairs-LCA baseline the paper's §7
 // explicitly argues against ("we systematically enumerate the cousins
-// rather than taking random pairs of nodes").
+// rather than taking random pairs of nodes"). That baseline is the
+// test oracle's brute-force miner, internal/oracle.MineRooted.
 
 import (
 	"math/rand"
 
 	"treemine/internal/benchutil"
 	"treemine/internal/core"
+	"treemine/internal/oracle"
 	"treemine/internal/tree"
 	"treemine/internal/treegen"
 )
@@ -30,7 +32,7 @@ func runAblation(cfg config) error {
 		{"Mine", func(t *tree.Tree, o core.Options) { core.Mine(t, o) }},
 		{"MineCounts", func(t *tree.Tree, o core.Options) { core.MineCounts(t, o) }},
 		{"MineDP", func(t *tree.Tree, o core.Options) { core.MineDP(t, o) }},
-		{"NaiveMine", func(t *tree.Tree, o core.Options) { core.NaiveMine(t, o) }},
+		{"NaiveMine", func(t *tree.Tree, o core.Options) { oracle.MineRooted(t, int(o.MaxDist), o.MinOccur) }},
 	}
 	headers := []string{"tree size", "maxdist"}
 	for _, m := range miners {

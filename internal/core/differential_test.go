@@ -10,38 +10,6 @@ import (
 	"treemine/internal/tree"
 )
 
-// naiveForestOracle computes frequent pairs from first principles: the
-// brute-force per-tree miner (NaiveMine, LCA per node pair) feeds a
-// plain string-keyed support map. Every production forest miner —
-// serial, parallel, streamed — is differentially pinned against it.
-func naiveForestOracle(trees []*tree.Tree, opts ForestOptions) []FrequentPair {
-	return forestSupport(trees, opts, NaiveMine)
-}
-
-// forestSupport is the reference shape of Multiple_Tree_Mining: mine
-// each tree to an ItemSet, count one support per tree and item in a
-// string-keyed map, and keep the items with support ≥ MinSup.
-func forestSupport(trees []*tree.Tree, opts ForestOptions, mine func(*tree.Tree, Options) ItemSet) []FrequentPair {
-	support := make(map[Key]int)
-	for _, t := range trees {
-		items := mine(t, opts.Options)
-		if opts.IgnoreDist {
-			items = items.IgnoreDist()
-		}
-		for k := range items {
-			support[k]++
-		}
-	}
-	var out []FrequentPair
-	for k, s := range support {
-		if s >= opts.MinSup {
-			out = append(out, FrequentPair{Key: k, Support: s})
-		}
-	}
-	SortFrequentPairs(out)
-	return out
-}
-
 // randDifferentialForest builds a forest stressing the edge cases the
 // miners must agree on: duplicate labels (tiny alphabets), single-node
 // trees, unlabeled roots, and the empty forest (nt may be 0).
@@ -140,7 +108,7 @@ func streamVariants(t *testing.T, forest []*tree.Tree, opts ForestOptions, want 
 // interleaved at random points.
 func forestMinersAgree(t *testing.T, rng *rand.Rand, forest []*tree.Tree, opts ForestOptions, extraWorkers int) bool {
 	t.Helper()
-	want := naiveForestOracle(forest, opts)
+	want := naiveForest(forest, opts)
 	if got := MineForest(forest, opts); !reflect.DeepEqual(got, want) {
 		t.Logf("opts=%+v: MineForest %v != oracle %v", opts, got, want)
 		return false
@@ -167,13 +135,14 @@ func forestMinersAgree(t *testing.T, rng *rand.Rand, forest []*tree.Tree, opts F
 
 // TestForestMinersDifferential is the harness pinning every forest miner
 // to the naive oracle: MineForestStream ≡ MineForestParallel ≡
-// MineForest ≡ per-tree NaiveMine support counting, across random
-// forests whose MaxDist sweeps the packable boundary (MaxPackedDist =
-// 14 halves; ~a quarter of the runs take the string-keyed fallback),
-// with varying MinSup, MinOccur, IgnoreDist, duplicate labels,
-// single-node trees, empty forests, and — for half the runs — trailing
-// trees whose labels outgrow the dense pending table mid-stream. A
-// fixed sweep then pins MaxDist at MaxPackedDist and one past it.
+// MineForest ≡ the oracle's brute-force per-tree support counting,
+// across random forests whose MaxDist sweeps the packable boundary
+// (MaxPackedDist = 14 halves; ~a quarter of the runs take the
+// string-keyed fallback), with varying MinSup, MinOccur, IgnoreDist,
+// duplicate labels, single-node trees, empty forests, and — for half
+// the runs — trailing trees whose labels outgrow the dense pending
+// table mid-stream. A fixed sweep then pins MaxDist at MaxPackedDist
+// and one past it.
 func TestForestMinersDifferential(t *testing.T) {
 	f := func(seed int64, nt, size, alpha, maxD, minSup, minOcc, workers uint8, ignore, grow bool) bool {
 		rng := rand.New(rand.NewSource(seed))

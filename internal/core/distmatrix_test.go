@@ -5,26 +5,22 @@ import (
 	"testing"
 	"testing/quick"
 
+	"treemine/internal/oracle"
 	"treemine/internal/tree"
 )
 
-// serialMapMatrix is the pre-engine reference fill: string-keyed Mine
-// once per tree, then the map-based TDistItems (tdistItemsOracle,
-// per-pair view rebuilds) over the upper triangle — exactly what
-// cluster.TDistMatrix did before the profile engine.
+// serialMapMatrix is the reference fill: the oracle's item set of each
+// tree, then its map-based distance over the upper triangle.
 func serialMapMatrix(trees []*tree.Tree, v Variant, opts Options) [][]float64 {
 	n := len(trees)
-	items := make([]ItemSet, n)
-	for i, t := range trees {
-		items[i] = Mine(t, opts)
-	}
+	items := naiveSets(opts, trees...)
 	out := make([][]float64, n)
 	for i := range out {
 		out[i] = make([]float64, n)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d := tdistItemsOracle(items[i], items[j], v)
+			d := oracle.TDist(items[i], items[j], oracle.View(v))
 			out[i][j], out[j][i] = d, d
 		}
 	}

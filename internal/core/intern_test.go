@@ -7,19 +7,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"treemine/internal/oracle"
 	"treemine/internal/tree"
 )
-
-// mineStringReference is the pre-refactor Mine: enumerate pairs, build
-// string keys one at a time, filter by MinOccur. The interned path must
-// be byte-identical to it after boundary conversion.
-func mineStringReference(t *tree.Tree, opts Options) ItemSet {
-	items := make(ItemSet)
-	for _, p := range MinePairs(t, opts) {
-		items[NewKey(t.MustLabel(p.U), t.MustLabel(p.V), p.D)]++
-	}
-	return items.FilterMinOccur(opts.MinOccur)
-}
 
 // randAlphaTree builds a random tree over the first alpha labels l0..l<n>,
 // with ~20% unlabeled nodes. A bigger alphabet exercises different
@@ -47,7 +37,7 @@ func randAlphaTree(rng *rand.Rand, n, alpha int) *tree.Tree {
 // test for the interned core: across random trees, alphabet sizes,
 // maxdist values (including ones past MaxPackedDist, which take the
 // string fallback), and minoccur values, Mine must agree with the
-// pre-refactor string path and with the brute-force oracle.
+// brute-force oracle.
 func TestMineInternedMatchesStringPathAndOracle(t *testing.T) {
 	f := func(seed int64, size, alpha, maxD, minOcc uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -61,11 +51,7 @@ func TestMineInternedMatchesStringPathAndOracle(t *testing.T) {
 		}
 		tr := randAlphaTree(rng, n, a)
 		got := Mine(tr, opts)
-		if want := mineStringReference(tr, opts); !reflect.DeepEqual(got, want) {
-			t.Logf("n=%d a=%d opts=%+v: interned %v != string path %v", n, a, opts, got.Items(), want.Items())
-			return false
-		}
-		if slow := NaiveMine(tr, opts); !reflect.DeepEqual(got, slow) {
+		if slow := naiveMine(tr, opts); !reflect.DeepEqual(got, slow) {
 			t.Logf("n=%d a=%d opts=%+v: interned %v != naive %v", n, a, opts, got.Items(), slow.Items())
 			return false
 		}
@@ -110,7 +96,7 @@ func TestMineMapModeAccumulator(t *testing.T) {
 	tr := b.MustBuild()
 	opts := Options{MaxDist: D(0), MinOccur: 1}
 	got := Mine(tr, opts)
-	if want := NaiveMine(tr, opts); !reflect.DeepEqual(got, want) {
+	if want := naiveMine(tr, opts); !reflect.DeepEqual(got, want) {
 		t.Fatalf("map-mode Mine: %d items, naive %d items, sets differ", len(got), len(want))
 	}
 }
@@ -125,16 +111,9 @@ func randForest(rng *rand.Rand, trees, size, alpha int) []*tree.Tree {
 	return out
 }
 
-// mineForestGeneric is the string-keyed reference the interned forest
-// miners are property-tested against: the per-tree string miner feeding
-// one support map.
-func mineForestGeneric(trees []*tree.Tree, opts ForestOptions) []FrequentPair {
-	return forestSupport(trees, opts, Mine)
-}
-
 // TestMineForestInternedMatchesGeneric checks the interned forest miner
 // (and its parallel variant, at several worker counts) against the
-// string-keyed reference implementation across random forests, with and
+// oracle's string-keyed forest support across random forests, with and
 // without IgnoreDist.
 func TestMineForestInternedMatchesGeneric(t *testing.T) {
 	f := func(seed int64, nt, size, alpha, maxD, minSup uint8, ignore bool) bool {
@@ -145,14 +124,14 @@ func TestMineForestInternedMatchesGeneric(t *testing.T) {
 			MinSup:     int(minSup)%3 + 1,
 			IgnoreDist: ignore,
 		}
-		want := mineForestGeneric(forest, opts)
+		want := naiveForest(forest, opts)
 		if got := MineForest(forest, opts); !reflect.DeepEqual(got, want) {
-			t.Logf("opts=%+v: MineForest %v != generic %v", opts, got, want)
+			t.Logf("opts=%+v: MineForest %v != oracle %v", opts, got, want)
 			return false
 		}
 		for _, workers := range []int{2, 3} {
 			if got := MineForestParallel(forest, opts, workers); !reflect.DeepEqual(got, want) {
-				t.Logf("opts=%+v workers=%d: parallel %v != generic %v", opts, workers, got, want)
+				t.Logf("opts=%+v workers=%d: parallel %v != oracle %v", opts, workers, got, want)
 				return false
 			}
 		}
@@ -163,28 +142,9 @@ func TestMineForestInternedMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestMineForestFallbackPastPackedDist pins the behavior of the
-// MaxDist > MaxPackedDist region: both forest miners must still agree
-// with the generic reference (they all take string-keyed paths there).
-func TestMineForestFallbackPastPackedDist(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	forest := randForest(rng, 5, 40, 5)
-	opts := ForestOptions{
-		Options: Options{MaxDist: MaxPackedDist + 6, MinOccur: 1},
-		MinSup:  2,
-	}
-	want := mineForestGeneric(forest, opts)
-	if got := MineForest(forest, opts); !reflect.DeepEqual(got, want) {
-		t.Fatalf("MineForest fallback: %v != %v", got, want)
-	}
-	if got := MineForestParallel(forest, opts, 3); !reflect.DeepEqual(got, want) {
-		t.Fatalf("MineForestParallel fallback: %v != %v", got, want)
-	}
-}
-
 // TestTDistInternedMatchesStringPath checks that the interned TDist
 // (shared symbol table + packed profiles) returns exactly the floats
-// the string-keyed map oracle computes, for every variant.
+// the oracle's map-based distance computes, for every variant.
 func TestTDistInternedMatchesStringPath(t *testing.T) {
 	variants := []Variant{VariantLabel, VariantDist, VariantOccur, VariantDistOccur}
 	f := func(seed int64, n1, n2, alpha, maxD uint8) bool {
@@ -193,10 +153,10 @@ func TestTDistInternedMatchesStringPath(t *testing.T) {
 		t1 := randAlphaTree(rng, int(n1)%40+1, a)
 		t2 := randAlphaTree(rng, int(n2)%40+1, a)
 		opts := Options{MaxDist: Dist(int(maxD) % 8), MinOccur: 1}
-		i1, i2 := Mine(t1, opts), Mine(t2, opts)
+		sets := naiveSets(opts, t1, t2)
 		for _, v := range variants {
 			got := TDist(t1, t2, v, opts)
-			want := tdistItemsOracle(i1, i2, v)
+			want := oracle.TDist(sets[0], sets[1], oracle.View(v))
 			if got != want {
 				t.Logf("%s opts=%+v: TDist %v != map oracle %v", v, opts, got, want)
 				return false
@@ -219,15 +179,16 @@ func TestSimInternedMatchesStringPath(t *testing.T) {
 		tt := randAlphaTree(rng, int(n2)%40+1, a)
 		opts := Options{MaxDist: Dist(int(maxD) % 8), MinOccur: 1}
 		got := Sim(c, tt, opts)
-		want := simItemsOracle(Mine(c, opts), Mine(tt, opts))
+		sets := naiveSets(opts, c, tt)
+		want := oracle.Sim(sets[0], sets[1])
 		if got != want {
 			t.Logf("opts=%+v: Sim %v != map oracle %v", opts, got, want)
 			return false
 		}
 		set := []*tree.Tree{tt, randAlphaTree(rng, 20, a)}
 		avg := AvgSim(c, set, opts)
-		wantAvg := (simItemsOracle(Mine(c, opts), Mine(set[0], opts)) +
-			simItemsOracle(Mine(c, opts), Mine(set[1], opts))) / 2
+		sets = append(sets, naiveSets(opts, set[1])...)
+		wantAvg := (oracle.Sim(sets[0], sets[1]) + oracle.Sim(sets[0], sets[2])) / 2
 		if avg != wantAvg {
 			t.Logf("opts=%+v: AvgSim %v != %v", opts, avg, wantAvg)
 			return false
@@ -267,7 +228,7 @@ func TestMinerPoolReuseIsClean(t *testing.T) {
 	opts := Options{MaxDist: D(6), MinOccur: 1}
 	for round := 0; round < 30; round++ {
 		tr := randAlphaTree(rng, rng.Intn(80)+1, rng.Intn(10)+1)
-		if got, want := Mine(tr, opts), NaiveMine(tr, opts); !reflect.DeepEqual(got, want) {
+		if got, want := Mine(tr, opts), naiveMine(tr, opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: pooled Mine diverged from oracle", round)
 		}
 	}

@@ -209,26 +209,6 @@ func randLabeledTree(rng *rand.Rand, n int) *tree.Tree {
 	return b.MustBuild()
 }
 
-func TestMineEquivalentToNaiveOracle(t *testing.T) {
-	f := func(seed int64, size uint8, maxD uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(size)%50 + 1
-		tr := randLabeledTree(rng, n)
-		opts := Options{MaxDist: Dist(maxD % 8), MinOccur: 1}
-		fast := Mine(tr, opts)
-		slow := NaiveMine(tr, opts)
-		if !reflect.DeepEqual(fast, slow) {
-			t.Logf("seed=%d n=%d maxdist=%s\nfast=%v\nslow=%v",
-				seed, n, opts.MaxDist, fast.Items(), slow.Items())
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMineCountsEquivalentToMine(t *testing.T) {
 	f := func(seed int64, size uint8, maxD uint8, minOcc uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -51,18 +51,6 @@ func CompareKeys(a, b Key) int {
 	return 0
 }
 
-// SortFrequentPairs sorts by decreasing support, ties broken by key
-// order — the output order of MineForest, SupportShard.Finalize, and
-// the persisted index's Frequent.
-func SortFrequentPairs(pairs []FrequentPair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Support != pairs[j].Support {
-			return pairs[i].Support > pairs[j].Support
-		}
-		return CompareKeys(pairs[i].Key, pairs[j].Key) < 0
-	})
-}
-
 // ItemSet is the multiset of cousin pair items of one tree: each key maps
 // to its number of occurrences (distinct node pairs realizing it). An
 // ItemSet corresponds to the paper's cpi(T).

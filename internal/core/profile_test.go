@@ -7,14 +7,15 @@ import (
 	"testing"
 	"testing/quick"
 
+	"treemine/internal/oracle"
 	"treemine/internal/tree"
 )
 
-// TestProfileTDistDifferential pins the merge-join distance to the map
-// oracle: for random tree pairs, across all four variants and a MaxDist
-// sweep crossing the packable boundary, TDist, TDistItems and
-// TDistProfiles on string and on packed profiles all equal
-// tdistItemsOracle, bit for bit (each computes 1 − |∩|/|∪| from exact
+// TestProfileTDistDifferential pins the merge-join distance to the
+// oracle's map-based distance: for random tree pairs, across all four
+// variants and a MaxDist sweep crossing the packable boundary, TDist,
+// TDistItems and TDistProfiles on string and on packed profiles all
+// equal oracle.TDist, bit for bit (each computes 1 − |∩|/|∪| from exact
 // integer cardinalities, so float equality is the correct assertion).
 func TestProfileTDistDifferential(t *testing.T) {
 	f := func(seed int64, size1, size2, alpha, maxD, minOcc uint8) bool {
@@ -23,8 +24,9 @@ func TestProfileTDistDifferential(t *testing.T) {
 		t2 := randAlphaTree(rng, int(size2)%40+1, int(alpha)%6+1)
 		opts := Options{MaxDist: Dist(int(maxD) % 20), MinOccur: int(minOcc)%3 + 1}
 		s1, s2 := Mine(t1, opts), Mine(t2, opts)
+		sets := naiveSets(opts, t1, t2)
 		for _, v := range allVariants {
-			want := tdistItemsOracle(s1, s2, v)
+			want := oracle.TDist(sets[0], sets[1], oracle.View(v))
 			if got := TDist(t1, t2, v, opts); got != want {
 				t.Logf("%v opts=%+v: TDist %v != oracle %v", v, opts, got, want)
 				return false
@@ -62,10 +64,10 @@ func packedProfiles(t1, t2 *tree.Tree, opts Options, v Variant) (*Profile, *Prof
 	return NewProfileISet(MineISet(t1, opts, syms), v), NewProfileISet(MineISet(t2, opts, syms), v)
 }
 
-// TestProfileSimDifferential pins σ to the map oracle the same way: for
+// TestProfileSimDifferential pins σ to the oracle the same way: for
 // random tree pairs over a MaxDist sweep crossing the packable boundary
 // and MinOccur 1–3, Sim, AvgSim, SimItems and SimProfiles on string and
-// on packed profiles all equal simItemsOracle bit for bit (the histogram
+// on packed profiles all equal oracle.Sim bit for bit (the histogram
 // sum adds the same terms in the same order as the oracle's sorted
 // sum), and σ(C,T) == σ(T,C) exactly.
 func TestProfileSimDifferential(t *testing.T) {
@@ -75,8 +77,9 @@ func TestProfileSimDifferential(t *testing.T) {
 		t2 := randAlphaTree(rng, int(size2)%40+1, int(alpha)%6+1)
 		opts := Options{MaxDist: Dist(int(maxD) % 20), MinOccur: int(minOcc)%3 + 1}
 		s1, s2 := Mine(t1, opts), Mine(t2, opts)
-		want := simItemsOracle(s1, s2)
-		if back := simItemsOracle(s2, s1); back != want {
+		sets := naiveSets(opts, t1, t2)
+		want := oracle.Sim(sets[0], sets[1])
+		if back := oracle.Sim(sets[1], sets[0]); back != want {
 			t.Logf("opts=%+v: oracle asymmetric %v != %v", opts, back, want)
 			return false
 		}
@@ -118,10 +121,11 @@ func TestProfileTotalsMatchViews(t *testing.T) {
 		items := Mine(tr, opts)
 		for _, v := range allVariants {
 			p := NewProfileISet(is, v)
-			if want := int64(v.view(items).Total()); p.Total() != want {
+			view := naiveSets(opts, tr)[0].Project(oracle.View(v))
+			if want := int64(view.Total()); p.Total() != want {
 				t.Fatalf("%v: Total %d != view total %d", v, p.Total(), want)
 			}
-			if want := len(v.view(items)); p.Len() != want {
+			if want := len(view); p.Len() != want {
 				t.Fatalf("%v: Len %d != view len %d", v, p.Len(), want)
 			}
 			for i := 1; i < len(p.posts); i++ {

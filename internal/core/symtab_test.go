@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"treemine/internal/oracle"
 )
 
 func TestSymbolsInternLookup(t *testing.T) {
@@ -146,12 +148,13 @@ func TestISetViewsMatchItemSetViews(t *testing.T) {
 	if !reflect.DeepEqual(is.ToItemSet(syms, 1), items) {
 		t.Fatal("MineISet does not match Mine")
 	}
-	for _, v := range []Variant{VariantLabel, VariantDist, VariantOccur, VariantDistOccur} {
-		got := ItemSet{}
+	for _, v := range allVariants {
+		got := oracle.Items{}
 		for _, pt := range NewProfileISet(is, v).posts {
-			got[pt.Key.Key(syms)] = int(pt.N)
+			k := pt.Key.Key(syms)
+			got[oracle.Key{A: k.A, B: k.B, D: int(k.D)}] = int(pt.N)
 		}
-		if want := v.view(items); !reflect.DeepEqual(got, want) {
+		if want := naiveSets(opts, tr)[0].Project(oracle.View(v)); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: packed projection %v != string view %v", v, got, want)
 		}
 	}

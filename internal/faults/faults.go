@@ -179,14 +179,6 @@ func Enable(name string, spec Spec) {
 	armed.Store(true)
 }
 
-// Disable disarms the named failpoint.
-func Disable(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	delete(points, name)
-	armed.Store(len(points) > 0)
-}
-
 // Reset disarms every failpoint.
 func Reset() {
 	mu.Lock()
@@ -274,17 +266,6 @@ func bumpCounters(path string, after, count int) (hits, fired int, fire bool) {
 		}
 	}
 	return hits, fired, fire
-}
-
-// Fired returns how many times the named failpoint has fired since it
-// was (re-)enabled.
-func Fired(name string) int {
-	mu.Lock()
-	defer mu.Unlock()
-	if p, ok := points[name]; ok {
-		return p.fired
-	}
-	return 0
 }
 
 // Apply parses and arms a comma-separated failpoint spec list — the

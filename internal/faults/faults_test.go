@@ -45,9 +45,6 @@ func TestAfterAndCount(t *testing.T) {
 			t.Fatalf("hit %d fired=%v, want %v (all %v)", i, fires[i], want[i], fires)
 		}
 	}
-	if Fired("p") != 1 {
-		t.Fatalf("Fired = %d, want 1", Fired("p"))
-	}
 }
 
 func TestPanicMode(t *testing.T) {
@@ -66,16 +63,12 @@ func TestPanicMode(t *testing.T) {
 	Hit("p")
 }
 
-func TestDisableAndOtherNamesUnaffected(t *testing.T) {
+func TestOtherNamesUnaffected(t *testing.T) {
 	Reset()
 	t.Cleanup(Reset)
 	Enable("a", Spec{Mode: ModeError})
 	if err := Hit("b"); err != nil {
 		t.Fatalf("unarmed name fired: %v", err)
-	}
-	Disable("a")
-	if err := Hit("a"); err != nil {
-		t.Fatalf("disabled failpoint fired: %v", err)
 	}
 }
 

@@ -4,92 +4,39 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"treemine/internal/core"
+	"treemine/internal/oracle"
 )
 
-// naiveMine is the brute-force oracle: BFS from every labeled node
-// counting path lengths, then d = n/2 − 1 (Eq. 7).
-func naiveMine(g *Graph, opts core.Options) (core.ItemSet, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	items := make(core.ItemSet)
-	n := g.Size()
-	for u := 0; u < n; u++ {
-		if !g.labeled[u] {
-			continue
-		}
-		dist := make([]int, n)
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[u] = 0
-		queue := []int{u}
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			for _, y := range g.adj[x] {
-				if dist[y] < 0 {
-					dist[y] = dist[x] + 1
-					queue = append(queue, y)
-				}
-			}
-		}
-		for v := u + 1; v < n; v++ {
-			if !g.labeled[v] || dist[v] < 2 {
-				continue
-			}
-			d := core.Dist(dist[v] - 2) // halves: n/2−1 ⇒ 2d = n−2
-			if d > opts.MaxDist {
-				continue
-			}
-			items[core.NewKey(g.labels[u], g.labels[v], d)]++
-		}
-	}
-	return items.FilterMinOccur(opts.MinOccur), nil
+// naiveSet is the oracle's brute-force item set of g: BFS from every
+// labeled node, d = n/2 − 1 (Eq. 7).
+func naiveSet(g *Graph, opts core.Options) oracle.Items {
+	return oracle.MineFree(oracle.Graph{Labels: g.labels, Labeled: g.labeled, Adj: g.adj}, int(opts.MaxDist), opts.MinOccur)
 }
 
-// naiveForest is MineForest by brute force: per-graph naiveMine items,
-// collapsed per label pair under IgnoreDist, counted once per graph,
-// filtered by MinSup and sorted as core.MineForest sorts.
-func naiveForest(graphs []*Graph, opts core.ForestOptions) ([]core.FrequentPair, error) {
-	support := map[core.Key]int{}
-	for _, g := range graphs {
-		items, err := naiveMine(g, opts.Options)
-		if err != nil {
-			return nil, err
-		}
-		if opts.IgnoreDist {
-			items = items.IgnoreDist()
-		}
-		for k := range items {
-			support[k]++
-		}
+// naiveMine is naiveSet in core's types.
+func naiveMine(g *Graph, opts core.Options) core.ItemSet {
+	out := core.ItemSet{}
+	for k, n := range naiveSet(g, opts) {
+		out[core.Key{A: k.A, B: k.B, D: core.Dist(k.D)}] = n
+	}
+	return out
+}
+
+// naiveForest is the oracle's forest support over naiveSet's sets.
+func naiveForest(graphs []*Graph, opts core.ForestOptions) []core.FrequentPair {
+	sets := make([]oracle.Items, len(graphs))
+	for i, g := range graphs {
+		sets[i] = naiveSet(g, opts.Options)
 	}
 	var out []core.FrequentPair
-	for k, n := range support {
-		if n >= opts.MinSup {
-			out = append(out, core.FrequentPair{Key: k, Support: n})
-		}
+	for _, p := range oracle.Forest(sets, opts.MinSup, opts.IgnoreDist) {
+		out = append(out, core.FrequentPair{Key: core.Key{A: p.Key.A, B: p.Key.B, D: core.Dist(p.Key.D)}, Support: p.Support})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Support != b.Support {
-			return a.Support > b.Support
-		}
-		if a.Key.A != b.Key.A {
-			return a.Key.A < b.Key.A
-		}
-		if a.Key.B != b.Key.B {
-			return a.Key.B < b.Key.B
-		}
-		return a.Key.D < b.Key.D
-	})
-	return out, nil
+	return out
 }
 
 // path builds the labeled path a—b—c—…
@@ -220,9 +167,6 @@ func TestMineInvalidGraph(t *testing.T) {
 	if _, err := Mine(g, core.DefaultOptions()); !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := naiveMine(g, core.DefaultOptions()); !errors.Is(err, ErrDisconnected) {
-		t.Fatalf("naive err = %v", err)
-	}
 }
 
 func TestMineTinyGraphs(t *testing.T) {
@@ -275,12 +219,7 @@ func TestMineEquivalentToNaive(t *testing.T) {
 			t.Logf("Mine error: %v", err)
 			return false
 		}
-		slow, err := naiveMine(g, opts)
-		if err != nil {
-			t.Logf("NaiveMine error: %v", err)
-			return false
-		}
-		if !reflect.DeepEqual(fast, slow) {
+		if slow := naiveMine(g, opts); !reflect.DeepEqual(fast, slow) {
 			t.Logf("seed=%d n=%d maxdist=%s\nfast=%v\nslow=%v",
 				seed, n, opts.MaxDist, fast.Items(), slow.Items())
 			return false
@@ -374,12 +313,7 @@ func TestMineForestEquivalentToNaive(t *testing.T) {
 			t.Logf("MineForest error: %v", err)
 			return false
 		}
-		slow, err := naiveForest(graphs, opts)
-		if err != nil {
-			t.Logf("naive error: %v", err)
-			return false
-		}
-		if !reflect.DeepEqual(fast, slow) {
+		if slow := naiveForest(graphs, opts); !reflect.DeepEqual(fast, slow) {
 			t.Logf("seed=%d opts=%+v\nfast=%v\nslow=%v", seed, opts, fast, slow)
 			return false
 		}
@@ -476,11 +410,7 @@ func TestMineShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow, err := naiveMine(g, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fast, slow) {
+			if slow := naiveMine(g, opts); !reflect.DeepEqual(fast, slow) {
 				t.Errorf("%s maxdist=%s:\nfast=%v\nslow=%v", name, md, fast.Items(), slow.Items())
 			}
 		}

@@ -114,11 +114,7 @@ func TestMLToFreeTreePipeline(t *testing.T) {
 		t.Fatal("ML free tree mined to nothing")
 	}
 	// Cross-check against the oracle.
-	slow, err := naiveMine(g, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(items, slow) {
+	if slow := naiveMine(g, core.DefaultOptions()); !reflect.DeepEqual(items, slow) {
 		t.Fatal("fast and naive free-tree mining disagree on the ML tree")
 	}
 }

@@ -10,28 +10,15 @@ import (
 
 	"treemine/internal/core"
 	"treemine/internal/store"
+	"treemine/internal/tree"
 )
 
 // The mapped differential harness: a server over a v4 file on disk,
 // memory-mapped the way the daemon opens it, must answer every /v1/*
-// endpoint byte-for-byte as the library answers on the source the file
-// was compacted from — SupportShard.Finalize for a shard, the item-set
-// oracles (oracle_test.go) and core.TDistItems/SimItems for an index.
+// endpoint byte-for-byte as the oracle answers on the trees the file
+// was compacted from (oracle_test.go).
 // Each query runs twice, so the cache-miss and cache-hit paths are both
 // compared, and the stats body carries the live cache counters.
-
-// oracle holds the library's answers for one compacted source.
-type oracle struct {
-	// support answers a support probe; ok false means the file cannot
-	// answer that distance form (501).
-	support func(l1, l2 string, d core.Dist) (n int, ok bool)
-	// frequent is the full listing at minsup, in the shared order.
-	frequent func(minSup int) []core.FrequentPair
-	// tdist answers a tree-distance query with its status: 200, 404 for
-	// an unknown tree, 501 without per-tree item sets.
-	tdist func(t1, t2 string, v core.Variant) (td, sim float64, status int)
-	stats Stats // cache counters are added at request time
-}
 
 // openMapped compacts a source to a v4 file with compact and serves it
 // through OpenPath, the daemon's route.
@@ -52,76 +39,13 @@ func openMapped(t *testing.T, compact func(path string) error) (*Server, *httpte
 	return newTestServer(t, b, Config{CacheEntries: 256})
 }
 
-// shardOracle answers from the shard's own Finalize.
-func shardOracle(sh *core.SupportShard) oracle {
-	opts, trees, labels, _ := sh.Snapshot()
-	counts := map[core.Key]int{}
-	for _, p := range sh.Finalize(1) {
-		counts[p.Key] = p.Support
-	}
-	return oracle{
-		support: func(l1, l2 string, d core.Dist) (int, bool) {
-			if d.IsWild() != opts.IgnoreDist {
-				return 0, false
-			}
-			return counts[core.NewKey(l1, l2, d)], true
-		},
-		frequent: sh.Finalize,
-		tdist: func(string, string, core.Variant) (float64, float64, int) {
-			return 0, 0, 501
-		},
-		stats: Stats{
-			Backend: "mapped", Trees: trees, Labels: len(labels), Pairs: len(counts),
-			MaxDist: opts.MaxDist, MinOccur: opts.MinOccur, IgnoreDist: opts.IgnoreDist,
-			SupportsConcreteDist: !opts.IgnoreDist, SupportsWildcard: opts.IgnoreDist,
-		},
-	}
-}
-
-// indexOracle answers from the index's per-tree item sets.
-func indexOracle(ix *store.Index) oracle {
-	sets := indexSets(ix)
-	byName := map[string]int{}
-	labels := map[string]bool{}
-	items := 0
-	for i, e := range ix.Entries {
-		if _, dup := byName[e.Name]; !dup {
-			byName[e.Name] = i
-		}
-		items += len(e.Items)
-		for k := range e.Items {
-			labels[k.A], labels[k.B] = true, true
-		}
-	}
-	return oracle{
-		support: func(l1, l2 string, d core.Dist) (int, bool) {
-			return indexSupport(ix, l1, l2, d), true
-		},
-		frequent: func(minSup int) []core.FrequentPair { return indexFrequent(ix, minSup) },
-		tdist: func(t1, t2 string, v core.Variant) (float64, float64, int) {
-			i, ok1 := byName[t1]
-			j, ok2 := byName[t2]
-			if !ok1 || !ok2 {
-				return 0, 0, 404
-			}
-			return core.TDistItems(sets[i], sets[j], v), core.SimItems(sets[i], sets[j]), 200
-		},
-		stats: Stats{
-			Backend: "mapped", Trees: ix.NumTrees(), Labels: len(labels),
-			Pairs: len(indexFrequent(ix, 1)), Items: items,
-			MaxDist: ix.Options.MaxDist, MinOccur: ix.Options.MinOccur,
-			SupportsTDist: true, SupportsConcreteDist: true, SupportsWildcard: true,
-		},
-	}
-}
-
-// mappedQueryMix drives a randomized endpoint mix through the server
-// and holds every answer to the oracle: concrete support across and
+// queryMix drives a randomized endpoint mix through the server
+// and holds every answer to the oracle's: concrete support across and
 // past the mined range (past MaxPackedDist too), wildcard support,
 // unknown labels, frequent listings with limits and maxdist filters,
 // stats with live cache counters, and tdist in all four variants,
 // sometimes naming an unknown tree.
-func mappedQueryMix(t *testing.T, seed int64, names []string, maxDist core.Dist, s *Server, ts *httptest.Server, o oracle) {
+func queryMix(t *testing.T, seed int64, names []string, maxDist core.Dist, s *Server, ts *httptest.Server, o expected) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	labels := diffLabels()
@@ -203,14 +127,9 @@ func mappedQueryMix(t *testing.T, seed int64, names []string, maxDist core.Dist,
 func TestMappedDifferentialShard(t *testing.T) {
 	trees, names := diffForest(t, 41, 20)
 	maxD := core.D(3)
-	sh := core.NewSupportShard(core.ForestOptions{
-		Options: core.Options{MaxDist: maxD, MinOccur: 1}, MinSup: 2,
-	})
-	for _, tr := range trees {
-		sh.AddTree(tr)
-	}
-	s, ts := openMapped(t, func(path string) error { return store.CompactShardV4(path, sh) })
-	mappedQueryMix(t, 42, names, maxD, s, ts, shardOracle(sh))
+	opts := core.ForestOptions{Options: core.Options{MaxDist: maxD, MinOccur: 1}, MinSup: 2}
+	s, ts := openMapped(t, func(path string) error { return store.CompactShardV4(path, mineShard(trees, opts)) })
+	queryMix(t, 42, names, maxD, s, ts, naiveAnswers(trees, nil, opts))
 }
 
 // TestMappedDifferentialShardGeneric: a shard mined past MaxPackedDist
@@ -220,15 +139,11 @@ func TestMappedDifferentialShard(t *testing.T) {
 func TestMappedDifferentialShardGeneric(t *testing.T) {
 	trees := deepChainForest(t, 43, 14)
 	maxD := core.MaxPackedDist + 8
-	sh := core.NewSupportShard(core.ForestOptions{
-		Options: core.Options{MaxDist: maxD, MinOccur: 1}, MinSup: 2,
-	})
-	for _, tr := range trees {
-		sh.AddTree(tr)
-	}
-	requireDeep(t, sh.Finalize(1))
-	s, ts := openMapped(t, func(path string) error { return store.CompactShardV4(path, sh) })
-	mappedQueryMix(t, 44, []string{"T00", "T01"}, maxD, s, ts, shardOracle(sh))
+	opts := core.ForestOptions{Options: core.Options{MaxDist: maxD, MinOccur: 1}, MinSup: 2}
+	o := naiveAnswers(trees, nil, opts)
+	requireDeep(t, o.frequent(1))
+	s, ts := openMapped(t, func(path string) error { return store.CompactShardV4(path, mineShard(trees, opts)) })
+	queryMix(t, 44, []string{"T00", "T01"}, maxD, s, ts, o)
 }
 
 // TestMappedDifferentialShardIgnoreDist: distance-insensitive mining
@@ -237,14 +152,9 @@ func TestMappedDifferentialShardGeneric(t *testing.T) {
 func TestMappedDifferentialShardIgnoreDist(t *testing.T) {
 	trees, names := diffForest(t, 45, 18)
 	maxD := core.D(4)
-	sh := core.NewSupportShard(core.ForestOptions{
-		Options: core.Options{MaxDist: maxD, MinOccur: 1}, MinSup: 2, IgnoreDist: true,
-	})
-	for _, tr := range trees {
-		sh.AddTree(tr)
-	}
-	s, ts := openMapped(t, func(path string) error { return store.CompactShardV4(path, sh) })
-	mappedQueryMix(t, 46, names, maxD, s, ts, shardOracle(sh))
+	opts := core.ForestOptions{Options: core.Options{MaxDist: maxD, MinOccur: 1}, MinSup: 2, IgnoreDist: true}
+	s, ts := openMapped(t, func(path string) error { return store.CompactShardV4(path, mineShard(trees, opts)) })
+	queryMix(t, 46, names, maxD, s, ts, naiveAnswers(trees, nil, opts))
 }
 
 // TestMappedDifferentialIndex: a v1/v2 index compacted to v4 keeps its
@@ -254,27 +164,41 @@ func TestMappedDifferentialShardIgnoreDist(t *testing.T) {
 func TestMappedDifferentialIndex(t *testing.T) {
 	t.Run("packed", func(t *testing.T) {
 		trees, names := diffForest(t, 47, 22)
-		ix, err := store.Build(trees, names, core.Options{MaxDist: core.D(4), MinOccur: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, ts := openMapped(t, func(path string) error { return store.CompactIndexV4(path, ix) })
-		mappedQueryMix(t, 48, names, ix.Options.MaxDist, s, ts, indexOracle(ix))
+		opts := core.ForestOptions{Options: core.Options{MaxDist: core.D(4), MinOccur: 1}, MinSup: 1}
+		s, ts := openMapped(t, func(path string) error { return compactIndex(path, trees, names, opts.Options) })
+		queryMix(t, 48, names, opts.MaxDist, s, ts, naiveAnswers(trees, names, opts))
 	})
 	t.Run("generic", func(t *testing.T) {
 		trees := deepChainForest(t, 49, 16)
-		ix, err := store.Build(trees, nil, core.Options{MaxDist: core.MaxPackedDist + 8, MinOccur: 1})
-		if err != nil {
-			t.Fatal(err)
+		names := make([]string, len(trees))
+		for i := range names {
+			names[i] = fmt.Sprintf("tree_%d", i+1)
 		}
-		requireDeep(t, indexFrequent(ix, 1))
-		names := make([]string, len(ix.Entries))
-		for i, e := range ix.Entries {
-			names[i] = e.Name
-		}
-		s, ts := openMapped(t, func(path string) error { return store.CompactIndexV4(path, ix) })
-		mappedQueryMix(t, 50, names, ix.Options.MaxDist, s, ts, indexOracle(ix))
+		opts := core.ForestOptions{Options: core.Options{MaxDist: core.MaxPackedDist + 8, MinOccur: 1}, MinSup: 1}
+		o := naiveAnswers(trees, names, opts)
+		requireDeep(t, o.frequent(1))
+		s, ts := openMapped(t, func(path string) error { return compactIndex(path, trees, names, opts.Options) })
+		queryMix(t, 50, names, opts.MaxDist, s, ts, o)
 	})
+}
+
+// mineShard folds the trees into a fresh shard.
+func mineShard(trees []*tree.Tree, opts core.ForestOptions) *core.SupportShard {
+	sh := core.NewSupportShard(opts)
+	for _, tr := range trees {
+		sh.AddTree(tr)
+	}
+	return sh
+}
+
+// compactIndex builds an index over the named trees and compacts it to
+// a v4 file at path.
+func compactIndex(path string, trees []*tree.Tree, names []string, opts core.Options) error {
+	ix, err := store.Build(trees, names, opts)
+	if err != nil {
+		return err
+	}
+	return store.CompactIndexV4(path, ix)
 }
 
 // requireDeep fails unless the fixture mined items past MaxPackedDist,

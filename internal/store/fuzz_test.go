@@ -10,14 +10,18 @@ import (
 	"testing"
 
 	"treemine/internal/core"
+	"treemine/internal/oracle"
 )
 
 // FuzzStoreRead feeds arbitrary (truncated, bit-flipped, adversarial)
-// bytes into both file loaders: Load for v1/v2 index files and
-// LoadShard for v3 checkpoints. Neither may ever panic — every failure
-// mode must surface as an error. Seeds include genuine v2 and v3 files
-// so the fuzzer starts from deep decode paths, plus the checked-in
-// corpus in testdata/fuzz.
+// bytes into every file loader: Load for v1/v2 index files, LoadShard
+// for v3 checkpoints and OpenMappedBytes for v4. None may ever panic —
+// every failure mode must surface as an error — and whatever
+// OpenMappedBytes accepts, internal/oracle's decoder must accept too,
+// with every mapped accessor reading what it reads. Seeds include
+// genuine v2, v3 and v4 files so the fuzzer starts from deep decode
+// paths, plus the checked-in corpus in testdata/fuzz; the genuine v4
+// seeds must decode to the oracle's model of their forest.
 func FuzzStoreRead(f *testing.F) {
 	// Magic headers and near-misses.
 	f.Add([]byte{})
@@ -58,6 +62,7 @@ func FuzzStoreRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	v4 := img.appendV4()
+	checkV4(f, v4, wantV4(forest, nil, core.DefaultForestOptions()))
 	f.Add(v4)
 	f.Add([]byte("TREEMINEIDX4"))
 	f.Add(v4[:v4HeaderLen-2])
@@ -68,7 +73,9 @@ func FuzzStoreRead(f *testing.F) {
 
 	// Index-derived v4 images, which carry the per-tree section, plus
 	// near-misses that trip its validation.
-	for _, seed := range indexV4Seeds(f, ix) {
+	seeds := indexV4Seeds(f, ix)
+	checkV4(f, seeds[0], wantV4(forest, treeNames(len(forest)), core.ForestOptions{Options: core.DefaultOptions(), MinSup: 1}))
+	for _, seed := range seeds {
 		f.Add(seed)
 	}
 
@@ -85,32 +92,11 @@ func FuzzStoreRead(f *testing.F) {
 			sh.Finalize(1)
 		}
 		if m, err := OpenMappedBytes(bytes.Clone(data)); err == nil {
-			// Whatever validates must be safely queryable end to end:
-			// every record reachable through the permutation, every label
-			// resolvable, point lookups total.
-			for i, n := 0, m.Len(); i < n; i++ {
-				p := m.PairAt(m.PermAt(i))
-				if m.Support(p.Key.A, p.Key.B, p.Key.D) != int64(p.Support) {
-					t.Fatalf("validated image disagrees with itself at record %d", i)
-				}
+			dec, err := oracle.DecodeV4(data)
+			if err != nil {
+				t.Fatalf("OpenMappedBytes accepted an image the oracle's decoder rejects: %v", err)
 			}
-			for i := 0; i < m.NumSymbols(); i++ {
-				if _, ok := m.LookupSymbol(m.Symbol(i)); !ok {
-					t.Fatalf("symbol %d not found by its own label", i)
-				}
-			}
-			// Every tree resolvable by its name, its items materializable,
-			// and its item records findable through Records/TreeOccur.
-			for tr := 0; m.HasTrees() && tr < m.Trees(); tr++ {
-				if got, ok := m.TreeByName(m.TreeName(tr)); !ok || m.TreeName(got) != m.TreeName(tr) {
-					t.Fatalf("tree %d not found by its own name", tr)
-				}
-				for k, n := range treeItems(m, tr) {
-					if lo, hi := m.Records(k.A, k.B, k.D); m.TreeOccur(tr, lo, hi) != n {
-						t.Fatalf("tree %d: item %v × %d unreachable", tr, k, n)
-					}
-				}
-			}
+			mappedMatches(t, m, dec)
 		}
 	})
 }

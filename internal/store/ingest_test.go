@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"treemine/internal/core"
@@ -47,7 +46,7 @@ func mustRead(t testing.TB, path string) []byte {
 func sameFile(t testing.TB, what, want, got string) {
 	t.Helper()
 	if !bytes.Equal(mustRead(t, want), mustRead(t, got)) {
-		t.Errorf("%s: %s differs from the oracle's %s", what, got, want)
+		t.Errorf("%s: %s differs from %s", what, got, want)
 	}
 }
 
@@ -283,58 +282,12 @@ func TestMineRejectsConflictingConfig(t *testing.T) {
 	}
 }
 
-// ingestOracle mines the forest the first-principles way: NaiveMine per
-// tree with MinOccur applied, each key counted once per tree (once per
-// label pair under IgnoreDist), restored into a shard and compacted.
-// A packed shard's label table holds every label its trees carry, pair
-// or no pair; a generic one only the labels of its pairs.
-func ingestOracle(t *testing.T, trees []*tree.Tree, opts core.ForestOptions, out string) {
-	t.Helper()
-	support := map[core.Key]int64{}
-	for _, tr := range trees {
-		items := core.NaiveMine(tr, opts.Options)
-		if opts.IgnoreDist {
-			items = items.IgnoreDist()
-		}
-		for k := range items {
-			support[k]++
-		}
-	}
-	set := map[string]bool{}
-	for k := range support {
-		set[k.A], set[k.B] = true, true
-	}
-	for _, tr := range trees {
-		for _, n := range tr.LabeledNodes() {
-			if opts.MaxDist <= core.MaxPackedDist {
-				set[tr.MustLabel(n)] = true
-			}
-		}
-	}
-	labels := make([]string, 0, len(set))
-	for l := range set {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	id := func(l string) uint32 { return uint32(sort.SearchStrings(labels, l)) }
-	items := make([]core.ShardItem, 0, len(support))
-	for k, n := range support {
-		items = append(items, core.ShardItem{A: id(k.A), B: id(k.B), D: k.D, N: n})
-	}
-	sh, err := core.RestoreShard(opts, len(trees), labels, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CompactShardV4(out, sh); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // FuzzIngest holds the ingest contract — stream ≡ distributed ≡ naive —
 // over arbitrary Newick input: Mine over the whole corpus (checkpoint
 // and compact, as -stream does) and plan → Mine per partition (spilling
-// under a budget) → Merge must both write the v4 file the naive oracle
-// writes, byte for byte; input that does not parse fails both ways.
+// under a budget) → Merge must write the same v4 bytes, and those bytes
+// must decode, by internal/oracle's reader, to the oracle's brute-force
+// model of the forest; input that does not parse fails both ways.
 func FuzzIngest(f *testing.F) {
 	for _, seed := range []struct {
 		nwk                    string
@@ -396,10 +349,8 @@ func FuzzIngest(f *testing.F) {
 		if derr != nil {
 			t.Fatalf("distributed ingest: %v", derr)
 		}
-		oracle := filepath.Join(dir, "oracle.v4")
-		ingestOracle(t, trees, opts, oracle)
-		sameFile(t, "single-process v4", oracle, single)
-		sameFile(t, "distributed v4", oracle, dist)
+		sameFile(t, "distributed v4", single, dist)
+		checkV4(t, mustRead(t, single), wantV4(trees, nil, opts))
 	})
 }
 

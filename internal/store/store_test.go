@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"treemine/internal/core"
+	"treemine/internal/oracle"
 	"treemine/internal/tree"
 	"treemine/internal/treegen"
 )
@@ -36,19 +37,15 @@ func TestBuildAndQuery(t *testing.T) {
 	if ix.Entries[0].Name != "tree_1" {
 		t.Fatalf("default name = %q", ix.Entries[0].Name)
 	}
-	// Index queries must agree with direct mining.
-	fp := core.MineForest(forest, core.ForestOptions{Options: opts, MinSup: 2})
-	got := ix.Frequent(2)
-	if !reflect.DeepEqual(got, fp) {
-		t.Fatalf("Frequent = %d pairs, MineForest = %d", len(got), len(fp))
-	}
-	for _, p := range fp[:min(5, len(fp))] {
-		if s := ix.Support(p.Key.A, p.Key.B, p.Key.D); s != p.Support {
-			t.Fatalf("Support(%v) = %d, want %d", p.Key, s, p.Support)
+	// The index holds each tree's item set as the oracle mines it.
+	for i, s := range naiveSets(forest, opts) {
+		if e := ix.Entries[i]; e.Nodes != forest[i].Size() || len(e.Items) != len(s) {
+			t.Fatalf("tree %d: %d nodes, %d items; want %d, %d", i, e.Nodes, len(e.Items), forest[i].Size(), len(s))
 		}
-		trees := ix.TreesWith(p.Key)
-		if len(trees) != p.Support {
-			t.Fatalf("TreesWith(%v) = %d trees, want %d", p.Key, len(trees), p.Support)
+		for k, n := range s {
+			if got := ix.Entries[i].Items[core.Key{A: k.A, B: k.B, D: core.Dist(k.D)}]; got != n {
+				t.Fatalf("tree %d: %v occurs %d times, want %d", i, k, got, n)
+			}
 		}
 	}
 }
@@ -56,22 +53,18 @@ func TestBuildAndQuery(t *testing.T) {
 func TestSupportWildcard(t *testing.T) {
 	forest := fixtureForest(2, 10)
 	opts := core.DefaultOptions()
-	ix, err := Build(forest, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := ix.Frequent(1)
+	sets := naiveSets(forest, opts)
+	fp := oracle.Forest(sets, 1, false)
 	if len(fp) == 0 {
 		t.Fatal("no pairs")
 	}
 	k := fp[0].Key
-	wild := ix.Support(k.A, k.B, core.DistWild)
-	exact := ix.Support(k.A, k.B, k.D)
-	if wild < exact {
-		t.Fatalf("wildcard support %d < exact %d", wild, exact)
+	wild := oracle.Support(sets, k.A, k.B, oracle.Wild)
+	if wild < fp[0].Support {
+		t.Fatalf("wildcard support %d < exact %d", wild, fp[0].Support)
 	}
-	if want := core.Support(forest, k.A, k.B, core.DistWild, opts); wild != want {
-		t.Fatalf("wildcard support %d, direct %d", wild, want)
+	if got := core.Support(forest, k.A, k.B, core.DistWild, opts); got != wild {
+		t.Fatalf("wildcard support %d, oracle %d", got, wild)
 	}
 }
 
@@ -106,9 +99,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if back.Options != ix.Options {
 		t.Fatalf("options = %+v, want %+v", back.Options, ix.Options)
-	}
-	if !reflect.DeepEqual(back.Frequent(2), ix.Frequent(2)) {
-		t.Fatal("frequent pairs differ after round trip")
 	}
 	if !reflect.DeepEqual(back.Entries, ix.Entries) {
 		t.Fatal("entries differ after round trip")
@@ -167,9 +157,6 @@ func TestLoadV1Fixture(t *testing.T) {
 	if !reflect.DeepEqual(back.Entries, ix.Entries) {
 		t.Fatal("entries differ after v1 read")
 	}
-	if !reflect.DeepEqual(back.Frequent(2), ix.Frequent(2)) {
-		t.Fatal("frequent pairs differ after v1 read")
-	}
 }
 
 func TestLoadV2RejectsBadSymbolID(t *testing.T) {
@@ -216,8 +203,8 @@ func TestSaveSharesLabelsAcrossTrees(t *testing.T) {
 }
 
 func TestConcurrentQueries(t *testing.T) {
-	// Queries after Load must be safe from multiple goroutines; run with
-	// -race to catch regressions in the lazy support table.
+	// Queries on a loaded index, which answers through its in-memory v4
+	// image, must be safe from multiple goroutines; run with -race.
 	forest := fixtureForest(6, 10)
 	ix, err := Build(forest, nil, core.DefaultOptions())
 	if err != nil {
@@ -227,7 +214,7 @@ func TestConcurrentQueries(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := OpenMappedReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

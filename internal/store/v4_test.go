@@ -17,6 +17,7 @@ import (
 
 	"treemine/internal/core"
 	"treemine/internal/faults"
+	"treemine/internal/oracle"
 	"treemine/internal/tree"
 	"treemine/internal/treegen"
 )
@@ -38,9 +39,10 @@ func compactShardToTemp(t *testing.T, sh *core.SupportShard) (*Mapped, string) {
 }
 
 // TestCompactShardV4RoundTrip: across both keying modes and
-// distance-insensitive mining, a mapped v4 file answers every support
-// query identically to the source shard and renders Finalize(1) order
-// exactly from its permutation.
+// distance-insensitive mining, a shard compacts into a v4 file that
+// decodes to the oracle's model of the forest, whose accessors read
+// that model (point lookups canonicalize the label order), and whose
+// permutation walk lists the oracle's frequent pairs in its order.
 func TestCompactShardV4RoundTrip(t *testing.T) {
 	forest := shardForest(21, 14, 30)
 	for _, tc := range []struct {
@@ -58,44 +60,12 @@ func TestCompactShardV4RoundTrip(t *testing.T) {
 				MinSup:     2,
 				IgnoreDist: tc.ignore,
 			}
-			sh := mineShard(forest, opts)
-			m, _ := compactShardToTemp(t, sh)
-
-			if m.Trees() != sh.Trees() {
-				t.Fatalf("trees = %d, want %d", m.Trees(), sh.Trees())
-			}
-			if m.Len() != sh.Len() {
-				t.Fatalf("records = %d, want %d", m.Len(), sh.Len())
-			}
-			if m.Options() != opts {
-				t.Fatalf("options = %+v, want %+v", m.Options(), opts)
-			}
-			wantGeneric := tc.maxD > core.MaxPackedDist
-			if m.Generic() != wantGeneric {
-				t.Fatalf("generic = %v, want %v", m.Generic(), wantGeneric)
-			}
-
-			// Every finalized pair must be retrievable by point query, and
-			// the permutation walk must reproduce Finalize order exactly —
-			// including the support-then-CompareKeys tie-breaks.
+			m, path := compactShardToTemp(t, mineShard(forest, opts))
+			mappedMatches(t, m, checkV4(t, mustRead(t, path), wantV4(forest, nil, opts)))
 			for _, minsup := range []int{1, 2, 4} {
-				want := sh.Finalize(minsup)
-				got := m.Frequent(minsup)
-				if len(want) == 0 && len(got) == 0 {
-					continue
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("minsup=%d: mapped Frequent diverges from Finalize (%d vs %d pairs)",
-						minsup, len(got), len(want))
-				}
-			}
-			for _, p := range sh.Finalize(1) {
-				if got := m.Support(p.Key.A, p.Key.B, p.Key.D); got != int64(p.Support) {
-					t.Fatalf("Support(%v) = %d, want %d", p.Key, got, p.Support)
-				}
-				// Argument order must not matter: lookups canonicalize.
-				if got := m.Support(p.Key.B, p.Key.A, p.Key.D); got != int64(p.Support) {
-					t.Fatalf("Support(swapped %v) = %d, want %d", p.Key, got, p.Support)
+				want := corePairs(oracle.Forest(naiveSets(forest, opts.Options), minsup, tc.ignore))
+				if got := m.Frequent(minsup); !reflect.DeepEqual(got, want) {
+					t.Fatalf("minsup=%d: mapped Frequent diverges from the oracle (%d vs %d pairs)", minsup, len(got), len(want))
 				}
 			}
 			// Absent pairs and unknown labels answer 0, never an error.
@@ -107,10 +77,13 @@ func TestCompactShardV4RoundTrip(t *testing.T) {
 }
 
 // TestCompactIndexV4RoundTrip: a v1/v2 per-tree index compacts into a
-// v4 aggregate whose support and frequent listings match the index.
+// v4 file that decodes to the oracle's model of the forest, whose
+// accessors read that model, and whose frequent listings are the
+// oracle's.
 func TestCompactIndexV4RoundTrip(t *testing.T) {
 	forest := fixtureForest(22, 15)
-	ix, err := Build(forest, nil, core.DefaultOptions())
+	opts := core.DefaultOptions()
+	ix, err := Build(forest, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,47 +96,20 @@ func TestCompactIndexV4RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-
-	if m.Trees() != ix.NumTrees() {
-		t.Fatalf("trees = %d, want %d", m.Trees(), ix.NumTrees())
-	}
-	var items int64
-	for _, e := range ix.Entries {
-		items += int64(len(e.Items))
-	}
-	if m.Items() != items {
-		t.Fatalf("items = %d, want %d", m.Items(), items)
-	}
+	mappedMatches(t, m, checkV4(t, mustRead(t, path), wantV4(forest, treeNames(len(forest)), core.ForestOptions{Options: opts, MinSup: 1})))
 	for _, minsup := range []int{2, 3} {
-		want := ix.Frequent(minsup)
-		got := m.Frequent(minsup)
-		if len(want) != 0 || len(got) != 0 {
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("minsup=%d: mapped Frequent diverges from index (%d vs %d pairs)",
-					minsup, len(got), len(want))
-			}
+		if got, want := m.Frequent(minsup), corePairs(oracle.Forest(naiveSets(forest, opts), minsup, false)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("minsup=%d: mapped Frequent diverges from the oracle (%d vs %d pairs)", minsup, len(got), len(want))
 		}
 	}
-	for _, p := range ix.Frequent(1)[:10] {
-		if got := m.Support(p.Key.A, p.Key.B, p.Key.D); got != int64(p.Support) {
-			t.Fatalf("Support(%v) = %d, want %d", p.Key, got, p.Support)
-		}
-	}
-}
-
-// treeItems materializes tree t's item set from its records.
-func treeItems(m *Mapped, t int) core.ItemSet {
-	items := core.ItemSet{}
-	m.TreeRecords(t, func(rec, occur int) { items[m.PairAt(rec).Key] = occur })
-	return items
 }
 
 // TestCompactIndexV4PerTree: a v4 file compacted from an index keeps
-// every tree's name, node count and item set, in both keying modes:
-// TreeRecords spells the index's sets exactly (on a packed file, as a
-// strictly key-ascending run), TreeByName finds the first
-// of duplicate names, and Records/TreeOccur reproduce the index's
-// concrete and wildcard support and containing-tree lists.
+// every tree's name, node count and item set, in both keying modes: it
+// decodes to the oracle's model, TreeRecords spells each tree's items
+// (on a packed file, as a strictly key-ascending run), TreeByName finds
+// the first of duplicate names, and Records/TreeOccur reproduce every
+// tree's concrete and wildcard occurrences of every pair.
 func TestCompactIndexV4PerTree(t *testing.T) {
 	forest := fixtureForest(28, 14)
 	names := make([]string, len(forest))
@@ -171,7 +117,8 @@ func TestCompactIndexV4PerTree(t *testing.T) {
 		names[i] = fmt.Sprintf("t%d", i%9) // t0…t4 repeat
 	}
 	for _, maxD := range []core.Dist{core.D(2), core.MaxPackedDist + 4} {
-		ix, err := Build(forest, names, core.Options{MaxDist: maxD, MinOccur: 1})
+		opts := core.Options{MaxDist: maxD, MinOccur: 1}
+		ix, err := Build(forest, names, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,16 +131,8 @@ func TestCompactIndexV4PerTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		if !m.HasTrees() || m.Generic() != (maxD > core.MaxPackedDist) {
-			t.Fatalf("maxdist %s: HasTrees %v, Generic %v", maxD, m.HasTrees(), m.Generic())
-		}
-		for i, e := range ix.Entries {
-			if m.TreeName(i) != e.Name || m.TreeNodes(i) != e.Nodes {
-				t.Fatalf("tree %d: %q with %d nodes, want %q with %d", i, m.TreeName(i), m.TreeNodes(i), e.Name, e.Nodes)
-			}
-			if got := treeItems(m, i); !reflect.DeepEqual(got, e.Items) {
-				t.Fatalf("tree %d: items diverge from the index (%d vs %d)", i, len(got), len(e.Items))
-			}
+		mappedMatches(t, m, checkV4(t, mustRead(t, path), wantV4(forest, names, core.ForestOptions{Options: opts, MinSup: 1})))
+		for i, name := range names {
 			if !m.Generic() {
 				var run []core.IKey
 				m.TreeRecords(i, func(rec, _ int) { run = append(run, m.KeyAt(rec)) })
@@ -203,30 +142,27 @@ func TestCompactIndexV4PerTree(t *testing.T) {
 					}
 				}
 			}
-			if got, ok := m.TreeByName(e.Name); !ok || got != slices.Index(names, e.Name) {
-				t.Fatalf("TreeByName(%q) = %d, %v; want the first tree of that name", e.Name, got, ok)
+			if got, ok := m.TreeByName(name); !ok || got != slices.Index(names, name) {
+				t.Fatalf("TreeByName(%q) = %d, %v; want the first tree of that name", name, got, ok)
 			}
 		}
 		if _, ok := m.TreeByName("no-such-tree"); ok {
 			t.Fatal("unknown tree name resolved")
 		}
-		for _, p := range ix.Frequent(1) {
-			for _, d := range []core.Dist{p.Key.D, core.DistWild} {
-				lo, hi := m.Records(p.Key.B, p.Key.A, d)
-				var hits []int
-				for tr := 0; tr < m.Trees(); tr++ {
-					if n := m.TreeOccur(tr, lo, hi); n > 0 {
-						if !d.IsWild() && n != ix.Entries[tr].Items[p.Key] {
-							t.Fatalf("TreeOccur(%d, %v) = %d, want %d", tr, p.Key, n, ix.Entries[tr].Items[p.Key])
-						}
-						hits = append(hits, tr)
+		sets := naiveSets(forest, opts)
+		for _, p := range oracle.Records(sets, false) {
+			for _, d := range []int{p.Key.D, oracle.Wild} {
+				lo, hi := m.Records(p.Key.B, p.Key.A, core.Dist(d))
+				hits := 0
+				for tr, s := range sets {
+					n := m.TreeOccur(tr, lo, hi)
+					if d != oracle.Wild && n != s[p.Key] {
+						t.Fatalf("TreeOccur(%d, %v) = %d, want %d", tr, p.Key, n, s[p.Key])
 					}
+					hits += min(n, 1)
 				}
-				if len(hits) != ix.Support(p.Key.A, p.Key.B, d) {
-					t.Fatalf("%v at %s: %d trees, want %d", p.Key, d, len(hits), ix.Support(p.Key.A, p.Key.B, d))
-				}
-				if !d.IsWild() && !slices.Equal(hits, ix.TreesWith(p.Key)) {
-					t.Fatalf("%v: trees %v, want %v", p.Key, hits, ix.TreesWith(p.Key))
+				if want := oracle.Support(sets, p.Key.A, p.Key.B, d); hits != want {
+					t.Fatalf("%v at %d halves: %d trees, want %d", p.Key, d, hits, want)
 				}
 			}
 		}
