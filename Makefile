@@ -7,7 +7,8 @@
 # panics, torn checkpoint writes, mid-stream iterator failures, signal
 # semantics) under -race — see DESIGN.md §47 for the failpoint
 # catalogue; `make fuzz` gives each fuzz target a 30-second budget
-# beyond its checked-in seed corpus; `make bench` regenerates the paper
+# beyond its checked-in seed corpus, minimizing each new input for at
+# most 1 s so the budget goes to execution; `make bench` regenerates the paper
 # figure benchmarks with allocation counts (see BENCH_1.json through
 # BENCH_4.json for the recorded baselines); `make bench-dist` runs just
 # the pairwise-distance-engine benchmarks (BENCH_3.json); `make
@@ -86,11 +87,11 @@ chaos-dist:
 	$(GO) test -race ./cmd/cousinmine -run 'CoordChaos|DistCoord|DistResume|MergeAllowPartial|DistSupervisionFlag|ParseBytesOverflow' -v
 
 fuzz:
-	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/newick
-	$(GO) test -fuzz=FuzzScanner -fuzztime=$(FUZZTIME) -run '^$$' ./internal/newick
-	$(GO) test -fuzz=FuzzStoreRead -fuzztime=$(FUZZTIME) -run '^$$' ./internal/store
-	$(GO) test -fuzz=FuzzIngest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/store
-	$(GO) test -fuzz=FuzzQueryParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/newick
+	$(GO) test -fuzz=FuzzScanner -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/newick
+	$(GO) test -fuzz=FuzzStoreRead -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/store
+	$(GO) test -fuzz=FuzzIngest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/store
+	$(GO) test -fuzz=FuzzQueryParse -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/serve
 
 smoke:
 	$(GO) test ./cmd/cousinserve -run 'DaemonSmoke' -v

@@ -4,21 +4,23 @@
 //
 // Usage:
 //
-//	cousindex build -o db.idx [-compact db.v4] [flags] trees.nwk ...
-//	cousindex compact -i db.idx -o db.v4
-//	cousindex frequent -i db.idx [-minsup 2]
-//	cousindex query -i db.idx -pair "Gnetum,Welwitschia" [-pair ...] [-dist 0|0.5|*]
-//	cousindex info -i db.idx
+//	cousindex build -o db.v4 [flags] trees.nwk ...
+//	cousindex compact -i old.idx -o old.idx.v4
+//	cousindex frequent -i db.v4 [-minsup 2]
+//	cousindex query -i db.v4 -pair "Gnetum,Welwitschia" [-pair ...] [-dist 0|0.5|*]
+//	cousindex info -i db.v4
 //
-// compact streams any index, shard checkpoint, or v4 file into the v4
-// zero-copy layout cousinserve memory-maps for O(1) startup; build
-// -compact writes one alongside the index in the same run.
+// build writes the v4 zero-copy layout, per-tree item sets included,
+// that cousinserve memory-maps for O(1) startup. frequent, query and
+// info memory-map a v4 file too, and refuse any other format. compact
+// converts an older store file — a v1/v2 index or a cousinmine v3 shard
+// checkpoint — into v4 once; a v4 input is validated and copied as it
+// is.
 //
-// frequent, query and info answer from that layout too: a v4 file is
-// memory-mapped, any other store file is compacted in memory first.
 // -pair may repeat; every probe reads the per-tree item sets mined once
-// at build time, which a file compacted from an index keeps and one
-// compacted from a shard does not — query needs an index or its v4.
+// at build time, which a file written by build keeps and one compacted
+// from a shard does not — query needs a file from build (or compacted
+// from a v1/v2 index).
 package main
 
 import (
@@ -44,7 +46,7 @@ func main() {
 
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: cousindex build|frequent|query|info [flags]")
+		return fmt.Errorf("usage: cousindex build|compact|frequent|query|info [flags]")
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
@@ -66,8 +68,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 func runBuild(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cousindex build", flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	out := fs.String("o", "", "output index file (required)")
-	compact := fs.String("compact", "", "also write a v4 zero-copy index to this file")
+	out := fs.String("o", "", "output v4 index file (required)")
 	maxDist := fs.String("maxdist", "1.5", "maximum cousin distance to index")
 	minOccur := fs.Int("minoccur", 1, "minimum within-tree occurrences to index")
 	if err := fs.Parse(args); err != nil {
@@ -94,20 +95,14 @@ func runBuild(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := store.AtomicWrite(*out, ix.Save); err != nil {
+	if err := store.CompactIndexV4(*out, ix); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "indexed %d trees into %s\n", ix.NumTrees(), *out)
-	if *compact != "" {
-		if err := store.CompactIndexV4(*compact, ix); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "compacted v4 index into %s\n", *compact)
-	}
 	return nil
 }
 
-// runCompact streams an existing store file — v1/v2 index, v3 shard
+// runCompact converts an existing store file — v1/v2 index, v3 shard
 // checkpoint, or v4 (validated verbatim copy) — into the v4 layout.
 func runCompact(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cousindex compact", flag.ContinueOnError)
@@ -138,25 +133,12 @@ func runCompact(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// openIndex opens any store file for querying: a v4 file is
-// memory-mapped, any other format is compacted to v4 in memory.
+// openIndex memory-maps the v4 file at path.
 func openIndex(path string) (*store.Mapped, error) {
 	if path == "" {
 		return nil, fmt.Errorf("-i index file is required")
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var head [12]byte
-	if _, err := io.ReadFull(f, head[:]); err == nil && string(head[:]) == "TREEMINEIDX4" {
-		return store.OpenMapped(path)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return store.OpenMappedReader(f)
+	return store.OpenMapped(path)
 }
 
 func runFrequent(args []string, stdout io.Writer) error {

@@ -103,7 +103,8 @@ func TestErrors(t *testing.T) {
 		{"build", "-o", "/nope/x"}, // unwritable… but also no trees: error either way
 		{"build", "-o", "x", "-maxdist", "zz"},
 		{"build", "-o", "x", "-maxdist", "*"},
-		{"frequent"}, // missing -i
+		{"build", "-o", "x", "-compact", "y"}, // build writes v4 itself
+		{"frequent"},                          // missing -i
 		{"frequent", "-i", "/nonexistent"},
 		{"query", "-i", idx}, // missing -pair
 		{"query", "-i", idx, "-pair", "onlyone"},
@@ -124,8 +125,11 @@ func TestLoadRejectsGarbageFile(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("this is not an index"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out strings.Builder
-	if err := run([]string{"info", "-i", bad}, nil, &out); err == nil {
-		t.Fatal("garbage index accepted")
+	for _, cmd := range []string{"info", "frequent"} {
+		var out strings.Builder
+		err := run([]string{cmd, "-i", bad}, nil, &out)
+		if err == nil || !strings.Contains(err.Error(), "cousindex compact -i "+bad+" -o "+bad+".v4") {
+			t.Fatalf("%s on a non-v4 file: err %v, want a refusal naming cousindex compact", cmd, err)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,37 +10,101 @@ import (
 
 	"treemine/internal/core"
 	"treemine/internal/newick"
+	"treemine/internal/oracle"
 	"treemine/internal/store"
 )
 
-// TestQueryV4MatchesIndex: a v4 file compacted from an index keeps its
-// per-tree item sets, so every subcommand answers from it exactly as
-// from the index — containing-tree listings and wildcard support too.
+// TestQueryV4MatchesIndex: the file build writes keeps every tree's
+// item set, so query answers each probe — containing-tree listings and
+// wildcard support too — as the oracle's item sets of the same trees
+// do.
 func TestQueryV4MatchesIndex(t *testing.T) {
+	const forest = "((a,b),c);((a,b),d);((a,x),(b,y));"
+	dir := t.TempDir()
+	nwk, v4 := filepath.Join(dir, "trees.nwk"), filepath.Join(dir, "db.v4")
+	if err := os.WriteFile(nwk, []byte(forest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"build", "-o", v4, nwk}, nil, &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	trees, err := newick.ParseAll(strings.NewReader(forest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := oracle.MineTrees(trees, 3, 1)
+	for _, p := range []struct{ l1, l2, dist string }{
+		{"a", "b", "0"}, {"b", "x", "0"}, {"a", "zz", "0"},
+		{"a", "b", "1"}, {"c", "a", "1"}, {"a", "b", "*"}, {"a", "y", "*"},
+	} {
+		d, err := core.ParseDist(p.dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("support of (%s, %s) at distance %s: %d of %d trees\n",
+			p.l1, p.l2, p.dist, oracle.Support(sets, p.l1, p.l2, int(d)), len(trees))
+		for i, s := range sets {
+			if n := s[oracle.NewKey(p.l1, p.l2, int(d))]; n > 0 {
+				want += fmt.Sprintf("  tree_%d (%d nodes, %d occurrences)\n", i+1, trees[i].Size(), n)
+			}
+		}
+		var out strings.Builder
+		if err := run([]string{"query", "-i", v4, "-pair", p.l1 + "," + p.l2, "-dist", p.dist}, nil, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != want {
+			t.Fatalf("%+v: query answers\n%swant\n%s", p, out.String(), want)
+		}
+	}
+}
+
+// TestBuildMatchesCompactOfV2: build writes exactly the bytes compact
+// converts a v2 index file of the same trees into, in both keying
+// modes. The v2 file comes from the oracle's own miner and encoder.
+func TestBuildMatchesCompactOfV2(t *testing.T) {
+	const forest = "((a,b),c);((a,b),d);((a,x),(b,y));((((((((a,c))))))),(((((((((b,d))))))))));"
 	dir := t.TempDir()
 	nwk := filepath.Join(dir, "trees.nwk")
-	idx, v4 := filepath.Join(dir, "db.idx"), filepath.Join(dir, "db.v4")
-	if err := os.WriteFile(nwk, []byte("((a,b),c);((a,b),d);((a,x),(b,y));"), 0o644); err != nil {
+	if err := os.WriteFile(nwk, []byte(forest), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"build", "-o", idx, "-compact", v4, nwk}, nil, &strings.Builder{}); err != nil {
+	trees, err := newick.ParseAll(strings.NewReader(forest))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{
-		{"query", "-pair", "a,b", "-pair", "b,x", "-pair", "a,zz", "-dist", "0"},
-		{"query", "-pair", "a,b", "-pair", "c,a", "-dist", "1"},
-		{"query", "-pair", "a,b", "-pair", "a,y", "-dist", "*"},
-		{"frequent", "-minsup", "1"},
-	} {
-		var fromIdx, fromV4 strings.Builder
-		if err := run(append(args, "-i", idx), nil, &fromIdx); err != nil {
+	for _, maxDist := range []string{"1.5", "10"} {
+		built, v2, converted := filepath.Join(dir, "built.v4"), filepath.Join(dir, "db.idx"), filepath.Join(dir, "db.idx.v4")
+		if err := run([]string{"build", "-o", built, "-maxdist", maxDist, nwk}, nil, &strings.Builder{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := run(append(args, "-i", v4), nil, &fromV4); err != nil {
+		d, err := core.ParseDist(maxDist)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if fromIdx.String() != fromV4.String() {
-			t.Fatalf("%v: v4 answer differs\n--- index ---\n%s--- v4 ---\n%s", args, fromIdx.String(), fromV4.String())
+		its := make([]oracle.IndexTree, len(trees))
+		for i, s := range oracle.MineTrees(trees, int(d), 1) {
+			its[i] = oracle.IndexTree{Name: fmt.Sprintf("tree_%d", i+1), Nodes: trees[i].Size(), Items: s}
+		}
+		var buf bytes.Buffer
+		if err := oracle.EncodeV2(&buf, int(d), 1, its); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(v2, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"compact", "-i", v2, "-o", converted}, nil, &strings.Builder{}); err != nil {
+			t.Fatal(err)
+		}
+		a, err := os.ReadFile(built)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(converted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("maxdist %s: build wrote %d bytes, compact of the v2 file %d, and they differ", maxDist, len(a), len(b))
 		}
 	}
 }

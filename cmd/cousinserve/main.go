@@ -4,15 +4,15 @@
 //
 // Usage:
 //
-//	cousinserve -index db.idx [-addr :8437] [-cache 4096]
+//	cousinserve -index db.v4 [-addr :8437] [-cache 4096]
 //	            [-timeout 5s] [-drain 10s] [-addr-file PATH]
 //
-// The -index file is a v4 file (cousindex compact), a cousindex v1/v2
-// index, or a cousinmine v3 shard checkpoint — detected by magic. Every
-// query is answered from the v4 layout: a v4 file is memory-mapped, so
-// startup is O(1) regardless of index size and queries binary-search
-// the file in place; any other format is compacted to v4 in memory at
-// startup. A file from an index answers every endpoint; one from a
+// The -index file is a v4 file, as `cousindex build` or `cousindex
+// compact` writes it. It is memory-mapped, so startup is O(1) regardless
+// of index size and queries binary-search the file in place. An older
+// cousindex v1/v2 index or cousinmine v3 shard checkpoint is refused
+// with a hint naming `cousindex compact`, which converts it once. A file
+// written from an index answers every endpoint; one compacted from a
 // shard holds aggregate counts, not per-tree item sets, so it answers
 // support (in the distance form it was mined with), frequent and stats.
 //
@@ -64,7 +64,7 @@ func main() {
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cousinserve", flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	index := fs.String("index", "", "index or shard file to serve (required)")
+	index := fs.String("index", "", "v4 index file to serve (required)")
 	addr := fs.String("addr", ":8437", "listen address")
 	cache := fs.Int("cache", serve.DefaultCacheEntries, "result cache entries; negative disables")
 	timeout := fs.Duration("timeout", serve.DefaultRequestTimeout, "per-request deadline; negative disables")
@@ -98,8 +98,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	fmt.Fprintf(stdout, "cousinserve: serving %s backend (%d trees) on %s\n",
-		b.Kind(), b.Trees(), ln.Addr())
+	fmt.Fprintf(stdout, "cousinserve: serving %s (%d trees) on %s\n",
+		*index, b.Trees(), ln.Addr())
 
 	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)

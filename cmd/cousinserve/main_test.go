@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -15,12 +17,14 @@ import (
 
 	"treemine/internal/core"
 	"treemine/internal/newick"
+	"treemine/internal/oracle"
 	"treemine/internal/store"
+	"treemine/internal/tree"
 )
 
-// writeIndex mines testdata/forest.nwk and writes a v2 index file the
-// daemon under test serves.
-func writeIndex(t *testing.T) string {
+// forestTrees parses testdata/forest.nwk, the forest every daemon test
+// serves.
+func forestTrees(t *testing.T) []*tree.Tree {
 	t.Helper()
 	f, err := os.Open("testdata/forest.nwk")
 	if err != nil {
@@ -31,19 +35,19 @@ func writeIndex(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := store.Build(trees, nil, core.Options{MaxDist: core.D(3), MinOccur: 1})
+	return trees
+}
+
+// writeIndex writes the testdata forest's v4 index, as cousindex build
+// does.
+func writeIndex(t *testing.T) string {
+	t.Helper()
+	ix, err := store.Build(forestTrees(t), nil, core.Options{MaxDist: core.D(3), MinOccur: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "forest.idx")
-	out, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Save(out); err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "forest.v4")
+	if err := store.CompactIndexV4(path, ix); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -73,41 +77,32 @@ var smokeQueries = []string{
 	"/healthz",
 }
 
-// writeIndexV4 compacts the testdata index into a v4 zero-copy file.
-func writeIndexV4(t *testing.T) string {
+// writeConvertedV4 writes the testdata forest as a v2 index file, the
+// format cousindex build wrote before v4, and converts it the one way
+// an older file reaches the daemon: cousindex compact (store.CompactV4).
+func writeConvertedV4(t *testing.T) string {
 	t.Helper()
-	idx := writeIndex(t)
-	f, err := os.Open(idx)
-	if err != nil {
+	trees := forestTrees(t)
+	its := make([]oracle.IndexTree, len(trees))
+	for i, s := range oracle.MineTrees(trees, 3, 1) {
+		its[i] = oracle.IndexTree{Name: fmt.Sprintf("tree_%d", i+1), Nodes: trees[i].Size(), Items: s}
+	}
+	var v2 bytes.Buffer
+	if err := oracle.EncodeV2(&v2, 3, 1, its); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	path := filepath.Join(t.TempDir(), "forest.v4")
-	if err := store.CompactV4(path, f); err != nil {
+	path := filepath.Join(t.TempDir(), "forest.idx.v4")
+	if err := store.CompactV4(path, &v2); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// smokeQueriesV4 mirrors smokeQueries for a mapped v4 backend: a file
-// compacted from an index keeps its per-tree item sets, so it answers
-// every query, tdist included.
-var smokeQueriesV4 = []struct {
-	path string
-	want int
-}{
-	{"/v1/support?l1=Gnetum&l2=Welwitschia&dist=0", http.StatusOK},
-	{"/v1/frequent?minsup=2", http.StatusOK},
-	{"/v1/tdist?t1=tree_1&t2=tree_2", http.StatusOK},
-	{"/v1/stats", http.StatusOK},
-	{"/healthz", http.StatusOK},
-}
-
-// TestDaemonSmokeV4: the daemon auto-detects a compacted v4 file by
-// magic, memory-maps it, reports the mapped backend, answers the smoke
-// queries, and drains cleanly — the CI v4 smoke in-process.
+// TestDaemonSmokeV4: a v4 file converted from an older index keeps its
+// per-tree item sets, so the daemon maps it, names it in its banner,
+// answers every smoke query (tdist included), and drains cleanly.
 func TestDaemonSmokeV4(t *testing.T) {
-	v4 := writeIndexV4(t)
+	v4 := writeConvertedV4(t)
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -121,15 +116,15 @@ func TestDaemonSmokeV4(t *testing.T) {
 	}()
 
 	base := "http://" + waitAddr(t, addrFile)
-	for _, q := range smokeQueriesV4 {
-		resp, err := http.Get(base + q.path)
+	for _, q := range smokeQueries {
+		resp, err := http.Get(base + q)
 		if err != nil {
-			t.Fatalf("%s: %v", q.path, err)
+			t.Fatalf("%s: %v", q, err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != q.want {
-			t.Errorf("%s: status %d (want %d) body %s", q.path, resp.StatusCode, q.want, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d body %s", q, resp.StatusCode, body)
 		}
 	}
 
@@ -142,8 +137,8 @@ func TestDaemonSmokeV4(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not return after cancel")
 	}
-	if !strings.Contains(out.String(), "mapped backend") {
-		t.Errorf("stdout missing mapped-backend banner:\n%s", out.String())
+	if !strings.Contains(out.String(), "serving "+v4+" (") {
+		t.Errorf("stdout missing the banner naming the file:\n%s", out.String())
 	}
 }
 
@@ -171,8 +166,9 @@ func TestRunFlagValidation(t *testing.T) {
 		if err := os.WriteFile(path, []byte("not an index"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := run(ctx, []string{"-index", path}, io.Discard); err == nil {
-			t.Error("garbage index file accepted")
+		err := run(ctx, []string{"-index", path}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "cousindex compact -i "+path) {
+			t.Errorf("garbage index file: err %v, want a refusal naming cousindex compact", err)
 		}
 	})
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"treemine"
 	"treemine/internal/benchutil"
@@ -71,6 +72,32 @@ func measures() map[string]func(a, b *treemine.Tree) (float64, error) {
 	}
 }
 
+// modeFlags lists every flag each output mode reads, the flags that
+// select the mode included: the matrix, an agglomerative clustering, or
+// a k-medoids one. The tdist-* measures also read -maxdist. run rejects
+// any other flag set on the command line, so a flag the run would
+// ignore is an error, never a silent no-op.
+var modeFlags = map[string][]string{
+	"matrix":   {"measure", "cluster"},
+	"cluster":  {"measure", "cluster", "linkage"},
+	"kmedoids": {"measure", "cluster", "linkage", "seed"},
+}
+
+// checkFlags rejects the first flag set, in lexical order, that a run
+// of the measure in the mode does not read.
+func checkFlags(fs *flag.FlagSet, measure, mode string, isTDist bool) (err error) {
+	read := modeFlags[mode]
+	if isTDist {
+		read = append(slices.Clone(read), "maxdist")
+	}
+	fs.Visit(func(fl *flag.Flag) {
+		if err == nil && !slices.Contains(read, fl.Name) {
+			err = fmt.Errorf("-%s is not read by -measure %s in %s mode; drop -%s", fl.Name, measure, mode, fl.Name)
+		}
+	})
+	return err
+}
+
 func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("phylodist", flag.ContinueOnError)
 	fs.SetOutput(stdout)
@@ -84,16 +111,29 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		return err
 	}
 
-	d, err := treemine.ParseDist(*maxDist)
-	if err != nil {
-		return err
-	}
-	opts := treemine.Options{MaxDist: d, MinOccur: 1}
 	variant, isTDist := tdistVariants[*measure]
 	fn, isPairwise := measures()[*measure]
 	if !isTDist && !isPairwise {
 		return fmt.Errorf("unknown measure %q", *measure)
 	}
+	mode := "matrix"
+	if *k > 0 {
+		mode = "cluster"
+		if *linkage == "kmedoids" {
+			mode = "kmedoids"
+		}
+	}
+	if err := checkFlags(fs, *measure, mode, isTDist); err != nil {
+		return err
+	}
+	d, err := treemine.ParseDist(*maxDist)
+	if err != nil {
+		return err
+	}
+	if d.IsWild() {
+		return fmt.Errorf("-maxdist must be a concrete distance, not %q", *maxDist)
+	}
+	opts := treemine.Options{MaxDist: d, MinOccur: 1}
 
 	trees, err := phyloio.ReadTrees(fs.Args(), stdin)
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -70,6 +71,7 @@ func TestErrors(t *testing.T) {
 	}{
 		{[]string{"-measure", "bogus"}, fourTrees},
 		{[]string{"-maxdist", "zzz"}, fourTrees},
+		{[]string{"-maxdist", "*"}, fourTrees},
 		{[]string{"-cluster", "2", "-linkage", "bogus"}, fourTrees},
 		{[]string{"-cluster", "9"}, fourTrees},
 		{nil, "(a,b);"},                                      // one tree
@@ -79,6 +81,46 @@ func TestErrors(t *testing.T) {
 		var out strings.Builder
 		if err := run(context.Background(), c.args, strings.NewReader(c.in), &out); err == nil {
 			t.Errorf("run(%v): expected error", c.args)
+		}
+	}
+}
+
+// TestModeFlags runs every (mode, flag) pair: each mode, for a tdist
+// and a pairwise measure, with one flag set explicitly to a value that
+// keeps the mode. A flag the mode reads must be accepted; any other
+// must be rejected by name, never ignored.
+func TestModeFlags(t *testing.T) {
+	flags := []string{"measure", "maxdist", "cluster", "linkage", "seed"}
+	for _, measure := range []string{"tdist-occ", "rf"} {
+		for mode, read := range modeFlags {
+			base := map[string]string{"measure": measure, "maxdist": "2", "cluster": "0", "linkage": "average", "seed": "7"}
+			switch mode {
+			case "cluster":
+				base["cluster"] = "2"
+			case "kmedoids":
+				base["cluster"], base["linkage"] = "2", "kmedoids"
+			}
+			for _, name := range flags {
+				// The mode's selecting flags, plus the one under test.
+				var args []string
+				for _, sel := range []string{"cluster", "linkage"} {
+					if slices.Contains(read, sel) && sel != name {
+						args = append(args, "-"+sel, base[sel])
+					}
+				}
+				if name != "measure" {
+					args = append(args, "-measure", measure)
+				}
+				args = append(args, "-"+name, base[name])
+				want := slices.Contains(read, name) || name == "maxdist" && measure != "rf"
+				err := run(context.Background(), args, strings.NewReader(fourTrees), &strings.Builder{})
+				if want && err != nil {
+					t.Errorf("%s %s mode, -%s: %v", measure, mode, name, err)
+				}
+				if !want && (err == nil || !strings.Contains(err.Error(), "-"+name+" is not read")) {
+					t.Errorf("%s %s mode, -%s: err %v, want it rejected", measure, mode, name, err)
+				}
+			}
 		}
 	}
 }

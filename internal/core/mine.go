@@ -117,22 +117,13 @@ func MinePairs(t *tree.Tree, opts Options) []Pair {
 	return out
 }
 
-// MineISet mines t into an interned item multiset over syms, which must
-// already contain every label of t (use Symbols.InternTree). It is the
-// forest-scale building block: callers holding one shared symbol table
-// mine many trees and compare the results without ever touching strings.
-// opts.MaxDist must be at most MaxPackedDist.
-func MineISet(t *tree.Tree, opts Options, syms *Symbols) ISet {
-	out := make(ISet)
-	mineIKeys(t, opts, syms, func(k IKey, n int32) { out[k] = n })
-	return out
-}
-
-// mineIKeys is MineISet without the map: it hands each item that meets
-// opts.MinOccur to f, in no particular order.
+// mineIKeys mines t on packed keys over syms, which must already
+// contain every label of t (use Symbols.InternTree): it hands each item
+// that meets opts.MinOccur to f, in no particular order. opts.MaxDist
+// must be at most MaxPackedDist.
 func mineIKeys(t *tree.Tree, opts Options, syms *Symbols, f func(k IKey, n int32)) {
 	if !packable(opts.MaxDist) {
-		panic(fmt.Sprintf("core: MineISet at maxdist %s beyond MaxPackedDist", opts.MaxDist))
+		panic(fmt.Sprintf("core: packed mining at maxdist %s beyond MaxPackedDist", opts.MaxDist))
 	}
 	m := getMiner(t, opts, syms)
 	defer m.release()

@@ -66,16 +66,6 @@ func RunProfile(run []Posting) Profile {
 	return p
 }
 
-// NewProfileISet freezes an interned item multiset (all keys from one
-// Symbols table) into a packed profile under the variant.
-func NewProfileISet(s ISet, v Variant) *Profile {
-	run := make([]Posting, 0, len(s))
-	for k, n := range s {
-		run = append(run, Posting{Key: k, N: int64(n)})
-	}
-	return packedProfile(run, v)
-}
-
 // packedProfile freezes an unordered packed run into a profile under
 // the variant: one sort into the VariantDistOccur run, then the
 // in-place projection.
@@ -117,7 +107,7 @@ func sortRun(run []Posting) {
 }
 
 // NewProfileItems freezes a string-keyed item set into a profile under
-// the variant, the same way NewProfileISet does on packed keys.
+// the variant, the same way packedProfile does on packed keys.
 func NewProfileItems(s ItemSet, v Variant) *Profile {
 	p := &Profile{sposts: make([]keyPosting, 0, len(s))}
 	for k, n := range s {

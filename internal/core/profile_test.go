@@ -11,6 +11,27 @@ import (
 	"treemine/internal/tree"
 )
 
+// MineISet mines t into an interned item multiset over syms, which must
+// already contain every label of t (use Symbols.InternTree). It is the
+// forest-scale building block: callers holding one shared symbol table
+// mine many trees and compare the results without ever touching strings.
+// opts.MaxDist must be at most MaxPackedDist.
+func MineISet(t *tree.Tree, opts Options, syms *Symbols) ISet {
+	out := make(ISet)
+	mineIKeys(t, opts, syms, func(k IKey, n int32) { out[k] = n })
+	return out
+}
+
+// NewProfileISet freezes an interned item multiset (all keys from one
+// Symbols table) into a packed profile under the variant.
+func NewProfileISet(s ISet, v Variant) *Profile {
+	run := make([]Posting, 0, len(s))
+	for k, n := range s {
+		run = append(run, Posting{Key: k, N: int64(n)})
+	}
+	return packedProfile(run, v)
+}
+
 // TestProfileTDistDifferential pins the merge-join distance to the
 // oracle's map-based distance: for random tree pairs, across all four
 // variants and a MaxDist sweep crossing the packable boundary, TDist,

@@ -9,6 +9,7 @@ import (
 	"treemine/internal/likelihood"
 	"treemine/internal/newick"
 	"treemine/internal/seqsim"
+	"treemine/internal/tree"
 	"treemine/internal/treegen"
 )
 
@@ -117,4 +118,51 @@ func TestMLToFreeTreePipeline(t *testing.T) {
 	if slow := naiveMine(g, core.DefaultOptions()); !reflect.DeepEqual(items, slow) {
 		t.Fatal("fast and naive free-tree mining disagree on the ML tree")
 	}
+}
+
+// FromTree converts a rooted tree into the corresponding free tree
+// (UAG): nodes map one-to-one and every parent–child edge becomes an
+// undirected edge. When suppressRoot is set and the root is an unlabeled
+// degree-2 node — the shape a rooted binary phylogeny gets from rooting
+// an inherently unrooted ML/MP result — the root is removed and its two
+// children joined directly, undoing the rooting exactly as §6's Figure
+// 11 depicts in reverse.
+func FromTree(t *tree.Tree, suppressRoot bool) *Graph {
+	g := NewGraph()
+	suppress := suppressRoot && !t.Labeled(t.Root()) && t.NumChildren(t.Root()) == 2
+
+	// id[n] is the graph node for tree node n; the suppressed root gets
+	// no graph node.
+	id := make([]int, t.Size())
+	for _, n := range t.Nodes() {
+		if suppress && n == t.Root() {
+			id[n] = -1
+			continue
+		}
+		if l, ok := t.Label(n); ok {
+			id[n] = g.AddNode(l)
+		} else {
+			id[n] = g.AddNodeUnlabeled()
+		}
+	}
+	for _, n := range t.Nodes() {
+		p := t.Parent(n)
+		if p == tree.None {
+			continue
+		}
+		if suppress && p == t.Root() {
+			continue // handled below
+		}
+		// Adding each child edge once keeps the edge set exact.
+		if err := g.AddEdge(id[p], id[n]); err != nil {
+			panic(err) // unreachable: tree edges are unique, no self-loops
+		}
+	}
+	if suppress {
+		kids := t.Children(t.Root())
+		if err := g.AddEdge(id[kids[0]], id[kids[1]]); err != nil {
+			panic(err) // unreachable for a valid tree
+		}
+	}
+	return g
 }

@@ -2,6 +2,8 @@ package newick
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -110,5 +112,35 @@ func TestWriteWithLengthsRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// WriteWithLengths serializes t with the given per-node branch lengths
+// (indexed by NodeID; the root's entry is ignored), producing input that
+// ParseWithLengths round-trips.
+func WriteWithLengths(t *tree.Tree, lengths []float64) string {
+	var b strings.Builder
+	writeNodeL(t, t.Root(), lengths, &b)
+	b.WriteByte(';')
+	return b.String()
+}
+
+func writeNodeL(t *tree.Tree, n tree.NodeID, lengths []float64, b *strings.Builder) {
+	if kids := t.Children(n); len(kids) > 0 {
+		b.WriteByte('(')
+		for i, k := range kids {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			writeNodeL(t, k, lengths, b)
+		}
+		b.WriteByte(')')
+	}
+	if l, ok := t.Label(n); ok {
+		writeLabel(l, b)
+	}
+	if t.Parent(n) != tree.None {
+		b.WriteByte(':')
+		b.WriteString(strconv.FormatFloat(lengths[n], 'g', -1, 64))
 	}
 }

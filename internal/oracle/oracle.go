@@ -6,8 +6,9 @@
 // halves. The miners examine every node pair (the "take pairs of nodes
 // and see what kind of cousins they are" approach the paper's §7
 // contrasts with its guided enumeration), forest support is a map
-// count, and DecodeV4 reads a v4 file from the byte layout in
-// DESIGN.md §9 and §14.
+// count, DecodeV4 reads a v4 file from the byte layout in DESIGN.md §9
+// and §14, and EncodeV2 writes the version-2 gob index file that tests
+// of the legacy conversion need as input.
 //
 // Only test files and the ablation experiment of cmd/benchpaper may
 // import this package; `make check` enforces the fence.

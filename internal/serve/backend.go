@@ -12,12 +12,10 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 
 	"treemine/internal/core"
@@ -41,15 +39,14 @@ var (
 // work proportional to index size.
 const ctxCheckEvery = 4096
 
-// Backend answers queries from one v4 file, mapped or compacted in
+// Backend answers queries from one v4 file, memory-mapped or read into
 // memory at open: support probes binary-search its record section,
 // frequent listings walk its support-descending permutation, and tree
 // distance and wildcard support read its per-tree section. A Mapped is
 // immutable, so a Backend is safe for any number of concurrent readers
 // with no locking.
 type Backend struct {
-	kind string // source format, reported by Kind and Stats only
-	m    *store.Mapped
+	m *store.Mapped
 }
 
 // faultReader injects the serve/load failpoint into every read, so the
@@ -63,78 +60,45 @@ func (fr faultReader) Read(p []byte) (int, error) {
 	return fr.r.Read(p)
 }
 
-// kindOf names a store file's format by its magic: "mapped" for v4,
-// "shard" for a v3 checkpoint, "index" for anything else (v1/v2).
-func kindOf(head []byte) string {
-	switch string(head) {
-	case "TREEMINEIDX4":
-		return "mapped"
-	case "TREEMINEIDX3":
-		return "shard"
-	}
-	return "index"
-}
-
-// Open reads a store file into a backend. v4 bytes are validated and
-// served as they are; a v1/v2 index (cousindex build) or a v3 shard
-// checkpoint (cousinmine -checkpoint) is compacted to v4 in memory
-// first. A file from an index answers every endpoint; one from a shard
-// holds aggregate counts, not per-tree item sets, so tree distance and
-// the distance form it was not mined with report ErrUnsupported. Open
-// holds the whole image in memory — prefer OpenPath, which
-// memory-maps v4 files instead.
+// Open reads a v4 file (cousindex build or compact) into a backend.
+// Any other input fails with store.ErrBadMagic: an older index or shard
+// checkpoint is converted once, with `cousindex compact`. A file
+// written from an index answers every endpoint; one compacted from a
+// shard holds aggregate counts, not per-tree item sets, so tree
+// distance and the distance form it was not mined with report
+// ErrUnsupported. Open holds the whole image in memory — prefer
+// OpenPath, which memory-maps it.
 func Open(r io.Reader) (*Backend, error) {
-	br := bufio.NewReader(faultReader{r})
-	head, err := br.Peek(len("TREEMINEIDX4"))
+	data, err := io.ReadAll(faultReader{r})
 	if err != nil {
-		return nil, fmt.Errorf("serve: read index header: %w", err)
+		return nil, fmt.Errorf("serve: read index: %w", err)
 	}
-	m, err := store.OpenMappedReader(br)
+	m, err := store.OpenMappedBytes(data)
 	if err != nil {
 		return nil, err
 	}
-	return &Backend{kind: kindOf(head), m: m}, nil
+	return &Backend{m: m}, nil
 }
 
-// OpenPath opens the store file at path, auto-detecting the format by
-// magic: v4 files are memory-mapped (store.OpenMapped — O(1) startup,
-// zero-copy queries), everything else goes through Open. Close the
-// returned backend when done serving.
+// OpenPath memory-maps the v4 file at path (store.OpenMapped: O(1)
+// startup, zero-copy queries). Close the returned backend when done
+// serving.
 func OpenPath(path string) (*Backend, error) {
-	f, err := os.Open(path)
+	// The mmap path does no incremental reads, so the serve/load
+	// failpoint gets its one shot at the open.
+	if err := faults.Hit(faults.ServeLoad); err != nil {
+		return nil, err
+	}
+	m, err := store.OpenMapped(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var head [len("TREEMINEIDX4")]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return nil, fmt.Errorf("serve: read index header: %w", err)
-	}
-	if string(head[:]) == "TREEMINEIDX4" {
-		// The mmap path does no incremental reads, so give the serve/load
-		// failpoint its one shot at the open instead.
-		if err := faults.Hit(faults.ServeLoad); err != nil {
-			return nil, err
-		}
-		m, err := store.OpenMapped(path)
-		if err != nil {
-			return nil, err
-		}
-		return &Backend{kind: "mapped", m: m}, nil
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return Open(f)
+	return &Backend{m: m}, nil
 }
 
-// Close releases the mapping (a no-op for a file Open compacted in
+// Close releases the mapping (a no-op for a backend Open read into
 // memory). No queries may be in flight or issued afterwards.
 func (b *Backend) Close() error { return b.m.Close() }
-
-// Kind reports which store format the backend was opened from:
-// "index" (v1/v2), "shard" (v3), or "mapped" (v4).
-func (b *Backend) Kind() string { return b.kind }
 
 // Trees returns the number of trees the loaded data covers.
 func (b *Backend) Trees() int { return b.m.Trees() }
@@ -286,7 +250,6 @@ func (b *Backend) treeItems(t int) core.ItemSet {
 // items (no tree distance; one support keying, concrete or wildcard)
 // from one stats call instead of probing endpoints for 501s.
 type Stats struct {
-	Backend    string    `json:"backend"`
 	Trees      int       `json:"trees"`
 	Labels     int       `json:"labels"`
 	Pairs      int       `json:"pairs"`
@@ -309,7 +272,6 @@ type Stats struct {
 func (b *Backend) Stats() Stats {
 	opts := b.m.Options()
 	return Stats{
-		Backend:              b.kind,
 		Trees:                b.m.Trees(),
 		Labels:               b.m.NumSymbols(),
 		Pairs:                b.m.Len(),

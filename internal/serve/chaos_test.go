@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -144,30 +146,35 @@ func TestChaosFaultInjectedCacheBypass(t *testing.T) {
 // TestChaosFaultInjectedLoadError: an I/O failure during backend load
 // fails Open with the injected sentinel — at the first read or deep
 // into the file — and never yields a half-loaded backend; the same
-// bytes load cleanly once disarmed.
+// bytes load cleanly once disarmed. OpenPath, which reads nothing
+// incrementally, fails at its one injection point before the map.
 func TestChaosFaultInjectedLoadError(t *testing.T) {
 	t.Cleanup(faults.Reset)
-	// A forest big enough that the serialized index spans many reads, so
-	// the mid-load injection lands inside the decode, not past EOF.
+	// A forest big enough that the v4 file spans many reads, so the
+	// mid-load injection lands inside the read, not past EOF.
 	trees, names := diffForest(t, 17, 64)
 	ix, err := store.Build(trees, names, core.Options{MaxDist: core.D(4), MinOccur: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "idx.v4")
+	if err := store.CompactIndexV4(path, ix); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	faults.Enable(faults.ServeLoad, faults.Spec{Mode: faults.ModeError})
 	if b, err := Open(bytes.NewReader(raw)); err == nil || !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("load fault at read 0: backend %v, err %v", b, err)
 	}
+	if b, err := OpenPath(path); err == nil || !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("load fault at OpenPath: backend %v, err %v", b, err)
+	}
 
-	// After the header read: the failure lands mid-decode. (The loader
-	// drains the payload in one large ReadFull, so read 1 is the deepest
-	// injection point the stream offers.)
+	// Past the first read: the failure lands mid-file.
 	faults.Enable(faults.ServeLoad, faults.Spec{Mode: faults.ModeError, After: 1})
 	if _, err := Open(bytes.NewReader(raw)); err == nil || !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("mid-load fault not surfaced: err %v", err)
@@ -178,7 +185,7 @@ func TestChaosFaultInjectedLoadError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean load after disarm: %v", err)
 	}
-	if b.Kind() != "index" || b.Trees() != ix.NumTrees() {
-		t.Errorf("reloaded backend: kind %q, %d trees", b.Kind(), b.Trees())
+	if b.Trees() != ix.NumTrees() {
+		t.Errorf("reloaded backend: %d trees, want %d", b.Trees(), ix.NumTrees())
 	}
 }

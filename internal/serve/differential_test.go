@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -71,9 +70,9 @@ func getTwice(t *testing.T, ts *httptest.Server, path string, wantStatus int, wa
 	}
 }
 
-// TestServerDifferentialIndex: a server over a v2 index, compacted to
-// v4 in memory at open, answers the query mix (mapped_differential_test.go)
-// as the oracle does.
+// TestServerDifferentialIndex: a server over an index's v4 file, read
+// into memory by Open, answers the query mix
+// (mapped_differential_test.go) as the oracle does.
 func TestServerDifferentialIndex(t *testing.T) {
 	trees, names := diffForest(t, 7, 24)
 	opts := core.Options{MaxDist: core.D(4), MinOccur: 1}
@@ -83,21 +82,14 @@ func TestServerDifferentialIndex(t *testing.T) {
 	}
 	s, ts := newTestServer(t, openBackend(t, ix), Config{CacheEntries: 256})
 	o := naiveAnswers(trees, names, core.ForestOptions{Options: opts, MinSup: 1})
-	o.stats.Backend = "index"
 	queryMix(t, 99, names, opts.MaxDist, s, ts, o)
 }
 
-// openShard serves the trees' shard from its v3 checkpoint bytes.
+// openShard serves the v4 file of the trees' shard, read into memory by
+// Open.
 func openShard(t *testing.T, trees []*tree.Tree, opts core.ForestOptions) (*Server, *httptest.Server) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := store.SaveShard(&buf, mineShard(trees, opts)); err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := openV4(t, func(path string) error { return store.CompactShardV4(path, mineShard(trees, opts)) })
 	return newTestServer(t, b, Config{CacheEntries: 256})
 }
 
@@ -109,7 +101,6 @@ func TestServerDifferentialShard(t *testing.T) {
 	opts := core.ForestOptions{Options: core.Options{MaxDist: core.D(3), MinOccur: 1}, MinSup: 2}
 	s, ts := openShard(t, trees, opts)
 	o := naiveAnswers(trees, nil, opts)
-	o.stats.Backend = "shard"
 	queryMix(t, 5, names, opts.MaxDist, s, ts, o)
 }
 
@@ -148,7 +139,6 @@ func TestServerDifferentialShardGeneric(t *testing.T) {
 	opts := core.ForestOptions{Options: core.Options{MaxDist: core.MaxPackedDist + 8, MinOccur: 1}, MinSup: 2}
 	s, ts := openShard(t, trees, opts)
 	o := naiveAnswers(trees, nil, opts)
-	o.stats.Backend = "shard"
 	requireDeep(t, o.frequent(1))
 	queryMix(t, 17, []string{"T00", "T01"}, opts.MaxDist, s, ts, o)
 }
@@ -161,6 +151,5 @@ func TestServerDifferentialShardIgnoreDist(t *testing.T) {
 	opts := core.ForestOptions{Options: core.Options{MaxDist: core.D(3), MinOccur: 1}, MinSup: 2, IgnoreDist: true}
 	s, ts := openShard(t, trees, opts)
 	o := naiveAnswers(trees, nil, opts)
-	o.stats.Backend = "shard"
 	queryMix(t, 11, names, opts.MaxDist, s, ts, o)
 }

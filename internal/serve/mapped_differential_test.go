@@ -33,9 +33,6 @@ func openMapped(t *testing.T, compact func(path string) error) (*Server, *httpte
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	if b.Kind() != "mapped" {
-		t.Fatalf("OpenPath(v4) kind = %q, want mapped", b.Kind())
-	}
 	return newTestServer(t, b, Config{CacheEntries: 256})
 }
 
@@ -157,7 +154,7 @@ func TestMappedDifferentialShardIgnoreDist(t *testing.T) {
 	queryMix(t, 46, names, maxD, s, ts, naiveAnswers(trees, nil, opts))
 }
 
-// TestMappedDifferentialIndex: a v1/v2 index compacted to v4 keeps its
+// TestMappedDifferentialIndex: an index written as v4 keeps its
 // per-tree item sets, so the mapped file answers every query the index
 // does — wildcard support and tree distance included — in both keying
 // modes.

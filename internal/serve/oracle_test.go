@@ -52,7 +52,7 @@ func naiveAnswers(trees []*tree.Tree, names []string, opts core.ForestOptions) e
 			return out
 		},
 		stats: Stats{
-			Backend: "mapped", Trees: len(trees), Labels: len(labels), Pairs: len(records),
+			Trees: len(trees), Labels: len(labels), Pairs: len(records),
 			MaxDist: opts.MaxDist, MinOccur: opts.MinOccur, IgnoreDist: opts.IgnoreDist,
 		},
 	}

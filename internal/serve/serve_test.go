@@ -2,15 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"treemine/internal/core"
 	"treemine/internal/newick"
+	"treemine/internal/oracle"
 	"treemine/internal/store"
 	"treemine/internal/tree"
 )
@@ -47,38 +51,42 @@ func fixtureIndex(t testing.TB) *store.Index {
 	return ix
 }
 
-// openBackend round-trips the index through Save and Open, so every
-// test exercises the load path the daemon uses.
-func openBackend(t testing.TB, ix *store.Index) *Backend {
+// openV4 writes a v4 file with write and reads it back through Open,
+// the reader route; OpenPath, the daemon's mmap route, is held to the
+// same answers by the mapped differential suite.
+func openV4(t testing.TB, write func(path string) error) *Backend {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "idx.v4")
+	if err := write(path); err != nil {
 		t.Fatal(err)
 	}
-	b, err := Open(&buf)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b, err := Open(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
-// fixtureShard mines the fixture forest into a v3 shard and round-trips
-// it through SaveShard and Open.
+// openBackend serves the index's v4 file.
+func openBackend(t testing.TB, ix *store.Index) *Backend {
+	t.Helper()
+	return openV4(t, func(path string) error { return store.CompactIndexV4(path, ix) })
+}
+
+// fixtureShard mines the fixture forest into a shard and serves its v4
+// file.
 func fixtureShard(t testing.TB, ignoreDist bool) *Backend {
 	t.Helper()
 	sh := core.NewSupportShard(core.ForestOptions{Options: fixtureOptions(), MinSup: 2, IgnoreDist: ignoreDist})
 	for _, tr := range fixtureTrees(t) {
 		sh.AddTree(tr)
 	}
-	var buf bytes.Buffer
-	if err := store.SaveShard(&buf, sh); err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return openV4(t, func(path string) error { return store.CompactShardV4(path, sh) })
 }
 
 // get fires one GET and returns status and body.
@@ -104,21 +112,46 @@ func newTestServer(t testing.TB, b *Backend, cfg Config) (*Server, *httptest.Ser
 	return s, ts
 }
 
-func TestOpenDetectsFormats(t *testing.T) {
-	if b := openBackend(t, fixtureIndex(t)); b.Kind() != "index" {
-		t.Errorf("index file loaded as %q", b.Kind())
+// TestOpenRefusesLegacyFormats: both open routes serve v4 only. A v1
+// or v2 index, a v3 shard checkpoint, garbage and empty input all fail
+// with store.ErrBadMagic, and the error names the `cousindex compact`
+// command that converts an older file.
+func TestOpenRefusesLegacyFormats(t *testing.T) {
+	trees := fixtureTrees(t)
+	sets := oracle.MineTrees(trees, int(fixtureOptions().MaxDist), 1)
+	var v2 bytes.Buffer
+	its := []oracle.IndexTree{{Name: "tree_1", Nodes: trees[0].Size(), Items: sets[0]}}
+	if err := oracle.EncodeV2(&v2, int(fixtureOptions().MaxDist), 1, its); err != nil {
+		t.Fatal(err)
 	}
-	if b := fixtureShard(t, false); b.Kind() != "shard" {
-		t.Errorf("shard file loaded as %q", b.Kind())
+	// Only the magic is read before the refusal, so a v1 file is a v2
+	// payload behind the v1 magic.
+	v1 := append([]byte("TREEMINEIDX1"), v2.Bytes()[len("TREEMINEIDX2"):]...)
+	var v3 bytes.Buffer
+	sh := core.NewSupportShard(core.ForestOptions{Options: fixtureOptions(), MinSup: 2})
+	sh.AddTree(trees[0])
+	if err := store.SaveShard(&v3, sh); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Open(strings.NewReader("not an index at all")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Open(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := Open(strings.NewReader("TREEMINEIDX3 but torn")); err == nil {
-		t.Error("torn shard accepted")
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"v1": v1, "v2": v2.Bytes(), "v3": v3.Bytes(),
+		"garbage": []byte("not an index at all"), "empty": nil,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, errOpen := Open(bytes.NewReader(data))
+		_, errPath := OpenPath(path)
+		for _, err := range []error{errOpen, errPath} {
+			if !errors.Is(err, store.ErrBadMagic) || !strings.Contains(err.Error(), "cousindex compact -i ") {
+				t.Errorf("%s: err = %v, want ErrBadMagic with the cousindex compact hint", name, err)
+			}
+		}
+		if errPath != nil && !strings.Contains(errPath.Error(), "-i "+path+" -o "+path+".v4") {
+			t.Errorf("%s: OpenPath hint does not name the file: %v", name, errPath)
+		}
 	}
 }
 

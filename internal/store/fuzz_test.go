@@ -15,9 +15,10 @@ import (
 
 // FuzzStoreRead feeds arbitrary (truncated, bit-flipped, adversarial)
 // bytes into every file loader: Load for v1/v2 index files, LoadShard
-// for v3 checkpoints and OpenMappedBytes for v4. None may ever panic —
-// every failure mode must surface as an error — and whatever
-// OpenMappedBytes accepts, internal/oracle's decoder must accept too,
+// for v3 checkpoints, OpenMappedBytes for v4 and CompactV4's reader,
+// which converts all of them. None may ever panic — every failure mode
+// must surface as an error — and whatever OpenMappedBytes accepts, or
+// the converter produces, internal/oracle's decoder must accept too,
 // with every mapped accessor reading what it reads. Seeds include
 // genuine v2, v3 and v4 files so the fuzzer starts from deep decode
 // paths, plus the checked-in corpus in testdata/fuzz; the genuine v4
@@ -37,12 +38,9 @@ func FuzzStoreRead(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var v2 bytes.Buffer
-	if err := ix.Save(&v2); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2.Bytes())
-	f.Add(v2.Bytes()[:len(v2.Bytes())/2])
+	v2 := encodeV2(f, forest, core.DefaultOptions())
+	f.Add(v2)
+	f.Add(v2[:len(v2)/2])
 
 	// A genuine v3 shard checkpoint.
 	sh := mineShard(forest, core.DefaultForestOptions())
@@ -90,6 +88,11 @@ func FuzzStoreRead(f *testing.F) {
 			// Whatever decodes must already satisfy the shard
 			// invariants; finalizing it must be safe.
 			sh.Finalize(1)
+		}
+		if raw, err := readV4Image(bytes.NewReader(data)); err == nil {
+			if _, err := oracle.DecodeV4(raw); err != nil {
+				t.Fatalf("CompactV4 produced an image the oracle's decoder rejects: %v", err)
+			}
 		}
 		if m, err := OpenMappedBytes(bytes.Clone(data)); err == nil {
 			dec, err := oracle.DecodeV4(data)

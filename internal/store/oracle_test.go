@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sort"
@@ -19,6 +20,21 @@ import (
 // naiveSets mines each tree with the oracle's brute-force miner.
 func naiveSets(trees []*tree.Tree, opts core.Options) []oracle.Items {
 	return oracle.MineTrees(trees, int(opts.MaxDist), opts.MinOccur)
+}
+
+// encodeV2 returns the v2 index file of trees mined by the oracle under
+// opts, the trees named as Build names them.
+func encodeV2(tb testing.TB, trees []*tree.Tree, opts core.Options) []byte {
+	tb.Helper()
+	its := make([]oracle.IndexTree, len(trees))
+	for i, s := range naiveSets(trees, opts) {
+		its[i] = oracle.IndexTree{Name: fmt.Sprintf("tree_%d", i+1), Nodes: trees[i].Size(), Items: s}
+	}
+	var buf bytes.Buffer
+	if err := oracle.EncodeV2(&buf, int(opts.MaxDist), opts.MinOccur, its); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // corePairs converts oracle pairs to core's.

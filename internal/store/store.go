@@ -3,9 +3,10 @@
 // database-systems complement to the paper's algorithms (mining 1,500
 // TreeBASE phylogenies takes sub-second here, but the paper's original
 // K implementation took minutes, and either way re-mining on every
-// support query is waste). An Index holds each tree's item set,
-// serializes with encoding/gob behind a versioned magic header, and
-// compacts into the v4 layout every query is answered from (v4.go).
+// support query is waste). An Index holds each tree's item set and
+// compacts into the v4 layout every query is answered from (v4.go);
+// Load reads the gob index files of earlier versions so CompactV4 can
+// convert them.
 package store
 
 import (
@@ -19,11 +20,11 @@ import (
 	"treemine/internal/tree"
 )
 
-// Magic strings identifying index files; the trailing digit is the
-// format version. Version 2 stores one file-global symbol table and
-// integer-coded items (labels appear once in the file no matter how many
-// items share them); version 1 stored string-keyed item maps. Save
-// writes v2; Load reads both.
+// Magic strings identifying the gob index files earlier versions
+// wrote; the trailing digit is the format version. Version 2 stores one
+// file-global symbol table and integer-coded items; version 1 stored
+// string-keyed item maps. Nothing writes either any more; Load reads
+// both, for CompactV4.
 const (
 	magicV1 = "TREEMINEIDX1"
 	magicV2 = "TREEMINEIDX2"
@@ -31,9 +32,9 @@ const (
 
 // Errors reported by Load.
 var (
-	// ErrBadMagic is returned when the input is not an index file or is
-	// a different format version.
-	ErrBadMagic = errors.New("store: not a treemine index (bad magic)")
+	// ErrBadMagic is returned when the input is not a store file of the
+	// expected format version.
+	ErrBadMagic = errors.New("store: bad magic")
 	// ErrCorrupt is returned when the payload fails to decode.
 	ErrCorrupt = errors.New("store: corrupt index")
 )
@@ -45,9 +46,8 @@ type TreeEntry struct {
 	Items core.ItemSet
 }
 
-// Index is a collection of per-tree item sets. Build one with Build,
-// persist with Save, reload with Load, and query it by compacting it to
-// v4 (CompactIndexV4, OpenMappedReader).
+// Index is a collection of per-tree item sets. Build one with Build and
+// persist it as the v4 file every query opens with CompactIndexV4.
 type Index struct {
 	// Options are the mining parameters the index was built with;
 	// queries are only meaningful at these parameters.
@@ -80,8 +80,7 @@ func Build(trees []*tree.Tree, names []string, opts core.Options) (*Index, error
 func (ix *Index) NumTrees() int { return len(ix.Entries) }
 
 // savedIndexV1 is the version-1 gob payload: per-tree string-keyed item
-// maps. Kept for backward-compatible reads (and to author fixtures in
-// tests); Save no longer writes it.
+// maps.
 type savedIndexV1 struct {
 	Options core.Options
 	Entries []TreeEntry
@@ -113,41 +112,10 @@ type savedIndexV2 struct {
 	Trees   []savedTreeV2
 }
 
-// Save writes the index: magic header, then a gob stream of the
-// version-2 interned payload.
-func (ix *Index) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magicV2); err != nil {
-		return fmt.Errorf("store: write header: %w", err)
-	}
-	syms := core.NewSymbols()
-	saved := savedIndexV2{Options: ix.Options, Trees: make([]savedTreeV2, len(ix.Entries))}
-	for i, e := range ix.Entries {
-		st := savedTreeV2{Name: e.Name, Nodes: e.Nodes, Items: make([]savedItem, 0, len(e.Items))}
-		// Sorted items intern symbols and write items in one fixed order,
-		// so equal indexes save to equal bytes.
-		for _, it := range e.Items.Items() {
-			st.Items = append(st.Items, savedItem{
-				A: syms.Intern(it.Key.A),
-				B: syms.Intern(it.Key.B),
-				D: it.Key.D,
-				N: it.Occur,
-			})
-		}
-		saved.Trees[i] = st
-	}
-	saved.Labels = make([]string, syms.Len())
-	for id := range saved.Labels {
-		saved.Labels[id] = syms.Label(uint32(id))
-	}
-	if err := gob.NewEncoder(bw).Encode(saved); err != nil {
-		return fmt.Errorf("store: encode: %w", err)
-	}
-	return bw.Flush()
-}
-
-// Load reads an index written by Save, accepting both the current
-// version-2 format and the original version-1 format.
+// Load reads a version-1 or version-2 index file. Every item must name
+// symbols in the file's table and lie within [0, MaxDist]: CompactV4
+// packs distances into IKeys, whose 4-bit field would carry an
+// out-of-range one into the label bits.
 func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magicV2))
@@ -167,6 +135,9 @@ func Load(r io.Reader) (*Index, error) {
 				if int(it.A) >= len(saved.Labels) || int(it.B) >= len(saved.Labels) {
 					return nil, fmt.Errorf("%w: symbol id out of range", ErrCorrupt)
 				}
+				if err := checkItemDist(it.D, saved.Options); err != nil {
+					return nil, err
+				}
 				items[core.NewKey(saved.Labels[it.A], saved.Labels[it.B], it.D)] = it.N
 			}
 			ix.Entries[i] = TreeEntry{Name: st.Name, Nodes: st.Nodes, Items: items}
@@ -177,8 +148,23 @@ func Load(r io.Reader) (*Index, error) {
 		if err := gob.NewDecoder(br).Decode(&saved); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
+		for _, e := range saved.Entries {
+			for k := range e.Items {
+				if err := checkItemDist(k.D, saved.Options); err != nil {
+					return nil, err
+				}
+			}
+		}
 		return &Index{Options: saved.Options, Entries: saved.Entries}, nil
 	default:
 		return nil, ErrBadMagic
 	}
+}
+
+// checkItemDist rejects an item distance outside [0, opts.MaxDist].
+func checkItemDist(d core.Dist, opts core.Options) error {
+	if d < 0 || d > opts.MaxDist {
+		return fmt.Errorf("%w: item distance %s outside [0, %s]", ErrCorrupt, d, opts.MaxDist)
+	}
+	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -82,18 +84,16 @@ func TestNamesValidation(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
+// TestLoadV2RoundTrip: a v2 index file, written by the oracle's
+// encoder, loads into the index Build mines from the same trees.
+func TestLoadV2RoundTrip(t *testing.T) {
 	forest := fixtureForest(4, 15)
 	opts := core.DefaultOptions()
 	ix, err := Build(forest, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
+	back, err := Load(bytes.NewReader(encodeV2(t, forest, opts)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,29 +105,32 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveIsReproducible saves one multi-tree index repeatedly, and a
-// loaded copy of it, and requires the same bytes every time: items are
-// written in sorted order, never in map iteration order.
-func TestSaveIsReproducible(t *testing.T) {
-	ix, err := Build(fixtureForest(5, 12), nil, core.Options{MaxDist: core.D(4), MinOccur: 1})
+// TestCompactIndexV4Reproducible writes one multi-tree index as v4
+// repeatedly, and a copy of it loaded from v2, and requires the same
+// bytes every time: nothing follows map iteration order.
+func TestCompactIndexV4Reproducible(t *testing.T) {
+	forest := fixtureForest(5, 12)
+	opts := core.Options{MaxDist: core.D(4), MinOccur: 1}
+	ix, err := Build(forest, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first bytes.Buffer
-	if err := ix.Save(&first); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(bytes.NewReader(first.Bytes()))
+	back, err := Load(bytes.NewReader(encodeV2(t, forest, opts)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, x := range []*Index{ix, ix, ix, back, back} {
-		var again bytes.Buffer
-		if err := x.Save(&again); err != nil {
+	dir := t.TempDir()
+	first := filepath.Join(dir, "first.v4")
+	if err := CompactIndexV4(first, ix); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range []*Index{ix, ix, back, back} {
+		again := filepath.Join(dir, "again.v4")
+		if err := CompactIndexV4(again, x); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(again.Bytes(), first.Bytes()) {
-			t.Fatalf("save %d differs from the first save", i+1)
+		if !bytes.Equal(mustRead(t, again), mustRead(t, first)) {
+			t.Fatalf("write %d differs from the first", i+1)
 		}
 	}
 }
@@ -179,45 +182,61 @@ func TestLoadV2RejectsBadSymbolID(t *testing.T) {
 	}
 }
 
-func TestSaveSharesLabelsAcrossTrees(t *testing.T) {
-	// The v2 payload stores each label once for the whole file; with many
-	// trees over one small taxon set it must be smaller than a v1 payload
-	// of the same index.
-	forest := fixtureForest(8, 40)
-	ix, err := Build(forest, nil, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := ix.Save(&v2); err != nil {
-		t.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	v1.WriteString(magicV1)
-	if err := gob.NewEncoder(&v1).Encode(savedIndexV1{Options: ix.Options, Entries: ix.Entries}); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Len() >= v1.Len() {
-		t.Fatalf("v2 file (%d bytes) not smaller than v1 (%d bytes)", v2.Len(), v1.Len())
+// TestLoadRejectsOutOfRangeDist: an item distance outside [0, MaxDist]
+// is corrupt. Packed into an IKey, 7.5 would carry its 4-bit distance
+// field into the label bits (8 reading back as the pair at 0, 8.5 as
+// 0.5), so CompactV4 must refuse it, in v2 and v1 files alike, and
+// create no destination.
+func TestLoadRejectsOutOfRangeDist(t *testing.T) {
+	dir := t.TempDir()
+	for _, maxD := range []core.Dist{core.D(3), core.MaxPackedDist} {
+		for _, d := range []int{15, 16, 17, 31, -5, oracle.Wild} {
+			var v2 bytes.Buffer
+			tr := oracle.IndexTree{Name: "t", Nodes: 5, Items: oracle.Items{
+				oracle.NewKey("a", "b", 0): 1,
+				oracle.NewKey("a", "b", d): 1,
+			}}
+			if err := oracle.EncodeV2(&v2, int(maxD), 1, []oracle.IndexTree{tr}); err != nil {
+				t.Fatal(err)
+			}
+			var v1 bytes.Buffer
+			v1.WriteString(magicV1)
+			entries := []TreeEntry{{Name: "t", Nodes: 5, Items: core.ItemSet{
+				core.NewKey("a", "b", 0): 1, core.NewKey("a", "b", core.Dist(d)): 1,
+			}}}
+			if err := gob.NewEncoder(&v1).Encode(savedIndexV1{Options: core.Options{MaxDist: maxD, MinOccur: 1}, Entries: entries}); err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range []*bytes.Buffer{&v2, &v1} {
+				dst := filepath.Join(dir, "out.v4")
+				if err := CompactV4(dst, src); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("maxdist %s, item at %d halves: CompactV4 err = %v, want ErrCorrupt", maxD, d, err)
+				}
+				if _, err := os.Stat(dst); !os.IsNotExist(err) {
+					t.Fatal("rejected source created the destination")
+				}
+			}
+		}
 	}
 }
 
 func TestConcurrentQueries(t *testing.T) {
-	// Queries on a loaded index, which answers through its in-memory v4
-	// image, must be safe from multiple goroutines; run with -race.
+	// Queries on a mapped index must be safe from multiple goroutines;
+	// run with -race.
 	forest := fixtureForest(6, 10)
 	ix, err := Build(forest, nil, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "idx.v4")
+	if err := CompactIndexV4(path, ix); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := OpenMappedReader(&buf)
+	loaded, err := OpenMapped(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer loaded.Close()
 	done := make(chan bool)
 	for g := 0; g < 8; g++ {
 		go func() {
@@ -245,16 +264,8 @@ func TestLoadErrors(t *testing.T) {
 		t.Errorf("corrupt err = %v", err)
 	}
 	// Truncated valid file.
-	forest := fixtureForest(5, 5)
-	ix, err := Build(forest, nil, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
+	v2 := encodeV2(t, fixtureForest(5, 5), core.DefaultOptions())
+	trunc := v2[:len(v2)/2]
 	if _, err := Load(bytes.NewReader(trunc)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncated err = %v", err)
 	}

@@ -26,7 +26,8 @@ package store
 // with core.CompareKeys order — the base record order doubles as the
 // tie-break order, so the permutation is just a stable support sort.
 //
-// A file compacted from a v1/v2 index also keeps the per-tree item sets
+// A file written from an index (cousindex build, CompactIndexV4, or
+// CompactV4 of a v1/v2 index file) also keeps the per-tree item sets
 // the paper's tree distance (Eq. 6) and similarity (Eq. 4) need, and
 // that wildcard support counts: flag bit 2 marks an optional per-tree
 // section whose fixed-width descriptor sits right after the header.
@@ -338,7 +339,7 @@ func strictlySorted(labels []string) bool {
 	return true
 }
 
-// imageFromIndex normalizes a v1/v2 per-tree index into a v4 image.
+// imageFromIndex normalizes a per-tree index into a v4 image.
 // Every item is rank-coded once, tagged with its tree and occurrence
 // count, and all of them are radix-sorted by key together. One pass
 // over that order then yields the records (each distinct key, counting
@@ -527,9 +528,10 @@ func (img *v4image) appendV4() []byte {
 	return buf
 }
 
-// CompactIndexV4 compacts a loaded (or freshly built) v1/v2 index into
-// a v4 file at dst, written durably via AtomicWrite. The file keeps the
-// per-tree item sets, so it answers every query the index does.
+// CompactIndexV4 writes a built (or loaded) index as a v4 file at dst,
+// durably via AtomicWrite; it is what `cousindex build -o` writes. The
+// file keeps the per-tree item sets, so it answers every query the
+// index does.
 func CompactIndexV4(dst string, ix *Index) error {
 	img, err := imageFromIndex(ix)
 	if err != nil {
@@ -555,56 +557,61 @@ func writeV4(dst string, buf []byte) error {
 	})
 }
 
-// CompactV4 writes the v4 image of any store file (see
-// OpenMappedReader) to dst. The write goes through AtomicWrite, so a
-// crash or torn write at any point leaves dst's previous contents intact
-// and never touches the source.
+// CompactV4 converts any store file — a v1/v2 index, a v3 shard
+// checkpoint, or a v4 file, validated and copied verbatim — into the v4
+// layout at dst. It is the one reader of the older formats a query can
+// need: every query path opens v4 only. Postings are sorted on flat
+// fixed-width slices, so compaction memory is bounded by the distinct
+// support entries, the label table and the source's own per-tree items.
+// The write goes through AtomicWrite, so a crash or torn write at any
+// point leaves dst's previous contents intact and never touches the
+// source.
 func CompactV4(dst string, src io.Reader) error {
-	m, err := OpenMappedReader(src)
+	buf, err := readV4Image(src)
 	if err != nil {
 		return err
 	}
-	return writeV4(dst, m.data)
+	return writeV4(dst, buf)
 }
 
-// OpenMappedReader reads any store file — a v1/v2 index, a v3 shard
-// checkpoint, or a v4 file — and returns the validated v4 view over an
-// in-memory image: v4 bytes are taken as they are, any other format is
-// compacted first. Postings are sorted on flat fixed-width slices, so
-// compaction memory is bounded by the distinct support entries, the
-// label table and the source's own per-tree items.
-func OpenMappedReader(src io.Reader) (*Mapped, error) {
+// readV4Image returns the validated v4 image of any store file.
+func readV4Image(src io.Reader) ([]byte, error) {
 	br := bufio.NewReader(src)
 	head, err := br.Peek(len(magicV4))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadMagic, err)
 	}
-	var img *v4image
+	var raw []byte
 	switch string(head) {
 	case magicV4:
-		raw, err := io.ReadAll(br)
-		if err != nil {
+		if raw, err = io.ReadAll(br); err != nil {
 			return nil, fmt.Errorf("store: read v4: %w", err)
 		}
-		return OpenMappedBytes(raw)
 	case magicV3:
 		sh, err := LoadShard(br)
 		if err != nil {
 			return nil, err
 		}
-		if img, err = imageFromSnapshot(sh.Snapshot()); err != nil {
+		img, err := imageFromSnapshot(sh.Snapshot())
+		if err != nil {
 			return nil, err
 		}
+		raw = img.appendV4()
 	default:
 		ix, err := Load(br)
 		if err != nil {
 			return nil, err
 		}
-		if img, err = imageFromIndex(ix); err != nil {
+		img, err := imageFromIndex(ix)
+		if err != nil {
 			return nil, err
 		}
+		raw = img.appendV4()
 	}
-	return OpenMappedBytes(img.appendV4())
+	if _, err := OpenMappedBytes(raw); err != nil {
+		return nil, err
+	}
+	return raw, nil
 }
 
 // Mapped is a v4 file opened for in-place querying: every accessor
@@ -646,6 +653,12 @@ func v4Corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: v4: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
+// errNotV4 reports that the file named name does not start with the v4
+// magic. Older store files are converted once, by `cousindex compact`.
+func errNotV4(name string) error {
+	return fmt.Errorf("%w: %s is not a v4 file; convert an older treemine index or shard with `cousindex compact -i %s -o %s.v4`", ErrBadMagic, name, name, name)
+}
+
 // section bounds-checks one header-described region of data and
 // returns it.
 func v4Section(data []byte, off, length uint64, name string) ([]byte, error) {
@@ -662,11 +675,11 @@ func v4Section(data []byte, off, length uint64, name string) ([]byte, error) {
 // mismatches, unsorted postings or labels, out-of-bounds string
 // offsets, and non-permutation perm sections all error out cleanly.
 func OpenMappedBytes(data []byte) (*Mapped, error) {
+	if !bytes.HasPrefix(data, []byte(magicV4)) {
+		return nil, errNotV4("F")
+	}
 	if len(data) < v4HeaderLen {
 		return nil, fmt.Errorf("%w: v4 header truncated (%d bytes)", ErrBadMagic, len(data))
-	}
-	if string(data[:len(magicV4)]) != magicV4 {
-		return nil, ErrBadMagic
 	}
 	le := binary.LittleEndian
 	if got, want := crc32.Checksum(data[:v4HdrHeaderCRC], v4CRCTable), le.Uint32(data[v4HdrHeaderCRC:]); got != want {
@@ -974,8 +987,8 @@ func OpenMapped(path string) (*Mapped, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.Size() < v4HeaderLen {
-		return nil, fmt.Errorf("%w: v4 header truncated (%d bytes)", ErrBadMagic, st.Size())
+	if st.Size() < int64(len(magicV4)) {
+		return nil, errNotV4(path)
 	}
 	if st.Size() > math.MaxInt {
 		return nil, fmt.Errorf("store: mmap %s: file too large (%d bytes)", path, st.Size())
@@ -983,6 +996,10 @@ func OpenMapped(path string) (*Mapped, error) {
 	data, unmap, err := mmapFile(f, st.Size())
 	if err != nil {
 		return nil, fmt.Errorf("store: mmap %s: %w", path, err)
+	}
+	if !bytes.HasPrefix(data, []byte(magicV4)) {
+		unmap()
+		return nil, errNotV4(path)
 	}
 	m, err := OpenMappedBytes(data)
 	if err != nil {
@@ -1007,7 +1024,7 @@ func (m *Mapped) Close() error {
 }
 
 // Options returns the mining options recorded in the header. Files
-// compacted from v1/v2 indexes carry MinSup 1 and IgnoreDist false.
+// written from an index carry MinSup 1 and IgnoreDist false.
 func (m *Mapped) Options() core.ForestOptions { return m.opts }
 
 // Trees returns the number of trees the compacted source covered.
@@ -1275,7 +1292,7 @@ func (m *Mapped) Frequent(minsup int) []core.FrequentPair {
 
 // HasTrees reports whether the file carries the per-tree section — the
 // item sets tree distance and wildcard support are computed from. Files
-// compacted from a v1/v2 index have it; files compacted from a shard
+// written from an index have it; files compacted from a shard
 // hold aggregate counts only. TreeName, TreeNodes, TreeRecords and
 // TreeOccur may only be called when it is true.
 func (m *Mapped) HasTrees() bool { return m.treeIdx != nil }

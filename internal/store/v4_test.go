@@ -194,18 +194,20 @@ func TestMappedSupportPastMaxDist(t *testing.T) {
 }
 
 // TestCompactV4Streams: CompactV4 accepts every on-disk format — v2
-// index, v3 shard, v4 itself (validated verbatim copy) — and rejects
-// garbage without creating the destination.
+// index (converted to exactly the bytes CompactIndexV4 writes for the
+// same trees), v3 shard, v4 itself (validated verbatim copy) — and
+// rejects garbage without creating the destination.
 func TestCompactV4Streams(t *testing.T) {
 	dir := t.TempDir()
 	forest := shardForest(23, 10, 25)
 
-	var v2 bytes.Buffer
+	v2 := bytes.NewBuffer(encodeV2(t, forest, core.DefaultOptions()))
 	ix, err := Build(forest, nil, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Save(&v2); err != nil {
+	built := filepath.Join(dir, "built.v4")
+	if err := CompactIndexV4(built, ix); err != nil {
 		t.Fatal(err)
 	}
 	var v3 bytes.Buffer
@@ -217,6 +219,9 @@ func TestCompactV4Streams(t *testing.T) {
 	fromV2 := filepath.Join(dir, "from-v2.v4")
 	if err := CompactV4(fromV2, bytes.NewReader(v2.Bytes())); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(mustRead(t, fromV2), mustRead(t, built)) {
+		t.Fatal("CompactV4(v2) differs from CompactIndexV4 of the same trees")
 	}
 	fromV3 := filepath.Join(dir, "from-v3.v4")
 	if err := CompactV4(fromV3, bytes.NewReader(v3.Bytes())); err != nil {

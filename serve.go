@@ -1,10 +1,10 @@
 package treemine
 
-// The query-service facade: load a mined index or shard checkpoint
-// read-only and serve pair-support, frequent-pair, tree-distance, and
-// stats queries over HTTP+JSON — the library half of the cousinserve
-// daemon, for embedding the same endpoints in another process. See the
-// "Serving queries" section of the README.
+// The query-service facade: open a mined v4 index read-only and serve
+// pair-support, frequent-pair, tree-distance, and stats queries over
+// HTTP+JSON — the library half of the cousinserve daemon, for embedding
+// the same endpoints in another process. See the "Serving queries"
+// section of the README.
 
 import (
 	"io"
@@ -28,21 +28,20 @@ type QueryServer = serve.Server
 // counters.
 type QueryCacheStats = serve.CacheStats
 
-// OpenQueryBackend loads a store file and returns the backend serving
-// it. Every query is answered from the v4 layout: v4 bytes are served
-// as they are, and a cousindex v1/v2 index or a cousinmine v3 shard
-// checkpoint is compacted to v4 in memory first. A file from an index
-// answers every endpoint; one from a shard holds aggregate counts only
+// OpenQueryBackend reads a v4 index file (written by `cousindex build`
+// or `cousindex compact`) and returns the backend serving it. Any other
+// input fails with an error wrapping the store's bad-magic error and
+// naming `cousindex compact`, which converts an older index or shard
+// checkpoint once. A file written from an index answers every
+// endpoint; one compacted from a shard holds aggregate counts only
 // (support, frequent, and stats). A reader can't be memory-mapped, so
-// the image is held in memory here; prefer OpenQueryBackendPath for v4
-// files.
+// the image is held in memory here; prefer OpenQueryBackendPath.
 func OpenQueryBackend(r io.Reader) (*QueryBackend, error) { return serve.Open(r) }
 
-// OpenQueryBackendPath opens the store file at path, auto-detecting the
-// format by magic. v4 compacted files (CompactIndexV4 / cousindex
-// compact) are memory-mapped: startup is O(1) in index size and queries
-// binary-search the file in place; other formats load as with
-// OpenQueryBackend. Close the backend when done.
+// OpenQueryBackendPath memory-maps the v4 index file at path: startup
+// is O(1) in index size and queries binary-search the file in place.
+// Other inputs fail as with OpenQueryBackend. Close the backend when
+// done.
 func OpenQueryBackendPath(path string) (*QueryBackend, error) { return serve.OpenPath(path) }
 
 // NewQueryServer returns an HTTP query server over the backend.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,8 +14,9 @@ import (
 )
 
 // TestQueryServerFacade exercises the public serving surface the way an
-// embedding process would: mine a forest, persist the index, reload it
-// through OpenQueryBackend, and answer queries over HTTP.
+// embedding process would: mine a forest, write its v4 index, open it
+// through OpenQueryBackendPath and OpenQueryBackend, and answer queries
+// over HTTP.
 func TestQueryServerFacade(t *testing.T) {
 	forest := `
 ((Gnetum,Welwitschia),(Ephedra,Ginkgoales));
@@ -28,15 +31,23 @@ func TestQueryServerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "forest.v4")
+	if err := store.CompactIndexV4(path, ix); err != nil {
 		t.Fatal(err)
 	}
-
-	b, err := treemine.OpenQueryBackend(&buf)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if b, err := treemine.OpenQueryBackend(bytes.NewReader(raw)); err != nil || b.Trees() != 3 {
+		t.Fatalf("OpenQueryBackend: %v", err)
+	}
+
+	b, err := treemine.OpenQueryBackendPath(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
 	s := treemine.NewQueryServer(b, treemine.QueryServerConfig{CacheEntries: 32})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -47,7 +58,7 @@ func TestQueryServerFacade(t *testing.T) {
 		{"/v1/support?l1=Gnetum&l2=Welwitschia&dist=0", `"support":3`},
 		{"/v1/frequent?minsup=3", `"minsup":3`},
 		{"/v1/tdist?t1=tree_1&t2=tree_2", `"tdist"`},
-		{"/v1/stats", `"backend":"index"`},
+		{"/v1/stats", `"trees":3`},
 	} {
 		resp, err := ts.Client().Get(ts.URL + q.path)
 		if err != nil {

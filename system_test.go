@@ -7,7 +7,6 @@ package treemine_test
 // supertree assembly against direct computation.
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -51,34 +50,23 @@ func TestSystemCorpusToIndexToAnalysis(t *testing.T) {
 		}
 	}
 
-	// 2. Build, persist, and reload the pattern index as the v4 image
-	// every query reads; its frequent set must match direct multi-tree
+	// 2. Build the pattern index, write it as the v4 file every query
+	// reads, and map it; its frequent set must match direct multi-tree
 	// mining over the loaded trees.
 	opts := core.DefaultOptions()
 	ix, err := store.Build(loaded, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxPath := filepath.Join(dir, "corpus.idx")
-	f, err := os.Create(idxPath)
+	idxPath := filepath.Join(dir, "corpus.v4")
+	if err := store.CompactIndexV4(idxPath, ix); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := store.OpenMapped(idxPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rf, err := os.Open(idxPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := store.OpenMappedReader(rf)
-	rf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer reloaded.Close()
 	fromIndex := reloaded.Frequent(2)
 	fromMining := treemine.MineForest(loaded, treemine.DefaultForestOptions())
 	if len(fromIndex) != len(fromMining) {
