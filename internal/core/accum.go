@@ -17,16 +17,22 @@ import "math/bits"
 // Dense cells are tracked for O(distinct) drain by two mechanisms that
 // coexist in one pass:
 //
-//   - add (the pair-enumeration and merge path) appends each cell to a
-//     touched list, decoded at drain time with precomputed magic
-//     dividers (Granlund–Montgomery) instead of hardware divisions;
-//   - the blocked sweeps mark whole rows at once by OR-ing their masked
-//     occupancy words into a per-row cell bitmap (rows, nw words per
-//     row), with a dirty-row list for the drain scan. Row and bit
-//     position recover (dist, a, b) with shifts only — no division.
+//   - add (the pair-enumeration and merge path) and the sparse sweeps
+//     append each cell to a touched list on its first touch, decoded at
+//     drain time with precomputed magic dividers (Granlund–Montgomery)
+//     instead of hardware divisions;
+//   - the blocked sweeps and handOff mark whole rows at once by OR-ing
+//     masked words into a per-row cell bitmap (rows, nw words per row),
+//     with a dirty-row list for the drain scan. Bit position recovers
+//     the column with shifts, and one magic division per row the row.
 //
 // Drain consumes every cell it reads, so a cell visited by both
 // mechanisms is reported once and zero cells are skipped either way.
+//
+// The same table holds a miner's per-tree counts and a shard's support
+// counts (its pending table, a worker's private table). At the same
+// geometry a tree's table hands its items over cell for cell, with no
+// decode and no re-encode (handOff, DESIGN.md §62).
 type accum struct {
 	l, nd   int     // symbol count and distance-slot count of the dense table
 	nw      int     // bitmap words per row: ceil(l/64)
@@ -34,7 +40,7 @@ type accum struct {
 	dense   []int32 // len l*nd*rowLen when dense, nil when in map mode
 	touched []int32 // cells recorded by add that may hold a nonzero count
 	rows    []uint64
-	dirty   []int32 // dirty rows as dc<<16|a (l ≤ 1024 in dense mode)
+	dirty   []int32 // dirty rows, each marked once (markRow)
 	rowBits []uint64
 	divRow  divider // magic divider by rowLen for touched-cell decode
 	divL    divider // magic divider by l
@@ -124,11 +130,11 @@ func (ac *accum) bump(a, b uint32, dc int, n int32) {
 }
 
 // markRow records a dirty bitmap row exactly once per drain cycle.
-func (ac *accum) markRow(row, dc int, a uint32) {
+func (ac *accum) markRow(row int) {
 	w := &ac.rowBits[row>>6]
 	if bit := uint64(1) << (row & 63); *w&bit == 0 {
 		*w |= bit
-		ac.dirty = append(ac.dirty, int32(dc)<<16|int32(a))
+		ac.dirty = append(ac.dirty, int32(row))
 	}
 }
 
@@ -160,8 +166,9 @@ func (ac *accum) drain(f func(a, b uint32, dc int, n int32)) {
 	}
 	ac.touched = ac.touched[:0]
 	for _, e := range ac.dirty {
-		dc, a := int(e>>16), uint32(e&0xffff)
-		row := dc*ac.l + int(a)
+		row := int(e)
+		dc := ac.divL.div(uint32(row))
+		a := uint32(row) - dc*uint32(ac.l)
 		ac.rowBits[row>>6] &^= 1 << (row & 63)
 		base, start := row*ac.nw, row*ac.rowLen
 		for w := 0; w < ac.nw; w++ {
@@ -176,7 +183,7 @@ func (ac *accum) drain(f func(a, b uint32, dc int, n int32)) {
 				cell := start + int(b)
 				if n := ac.dense[cell]; n != 0 {
 					ac.dense[cell] = 0
-					f(a, b, dc, n)
+					f(a, b, int(dc), n)
 				}
 			}
 		}
@@ -197,7 +204,7 @@ func (ac *accum) discard() {
 	}
 	ac.touched = ac.touched[:0]
 	for _, e := range ac.dirty {
-		row := int(e>>16)*ac.l + int(e&0xffff)
+		row := int(e)
 		ac.rowBits[row>>6] &^= 1 << (row & 63)
 		base, start := row*ac.nw, row*ac.rowLen
 		// Clear only the 64-cell segments whose bitmap word has bits:
@@ -209,6 +216,81 @@ func (ac *accum) discard() {
 			ac.rows[base+w] = 0
 			o := start + w<<6
 			clear(ac.dense[o : o+64])
+		}
+	}
+	ac.dirty = ac.dirty[:0]
+}
+
+// handOff drains ac into dst, a table of the same geometry, and resets
+// ac: every cell holding n ≥ minOccur (≥ 1) adds min(n, most) to the
+// same cell of dst, whose bitmap bit and dirty row it sets — no decode
+// to a key, no re-encode, no touched list in dst (DESIGN.md §62). A dst
+// with fewer distance slots (IgnoreDist's wild table) takes every cell
+// folded onto slot 0. A map-mode ac, possible only there, adds its keys.
+func (ac *accum) handOff(dst *accum, minOccur, most int32) {
+	fold := dst.nd < ac.nd
+	if ac.m != nil {
+		for k, n := range ac.m {
+			if n >= minOccur {
+				a, b := k.Syms()
+				dc := int(k.Dist())
+				if fold {
+					dc = 0
+				}
+				dst.add(a, b, dc, min(n, most))
+			}
+		}
+		clear(ac.m)
+		return
+	}
+	// skip is the rows by which folding moves a cell's row to slot 0.
+	skip := func(row int) int {
+		if !fold {
+			return 0
+		}
+		return int(ac.divL.div(uint32(row))) * ac.l
+	}
+	for _, cell := range ac.touched {
+		c, n := int(cell), ac.dense[cell]
+		ac.dense[cell] = 0
+		if n >= minOccur {
+			row := int(ac.divRow.div(uint32(c)))
+			sk := skip(row)
+			c -= sk * ac.rowLen
+			dst.dense[c] += min(n, most)
+			dst.rows[c>>6] |= 1 << (c & 63)
+			dst.markRow(row - sk)
+		}
+	}
+	ac.touched = ac.touched[:0]
+	for _, e := range ac.dirty {
+		row := int(e)
+		ac.rowBits[row>>6] &^= 1 << (row & 63)
+		sk := skip(row)
+		// rowLen is nw·64, so a set bit's cell is its word's index·64
+		// plus its position, in ac and in dst alike.
+		sw, kept := sk*ac.nw, uint64(0)
+		for w := row * ac.nw; w < (row+1)*ac.nw; w++ {
+			bw, keep := ac.rows[w], uint64(0)
+			if bw == 0 {
+				continue
+			}
+			ac.rows[w] = 0
+			for bw != 0 {
+				bit := bits.TrailingZeros64(bw)
+				bw &= bw - 1
+				c := w<<6 + bit
+				if n := ac.dense[c]; n >= minOccur {
+					dst.dense[c-sw<<6] += min(n, most)
+					keep |= 1 << bit
+				}
+				ac.dense[c] = 0
+			}
+			dst.rows[w-sw] |= keep
+			kept |= keep
+		}
+		if kept != 0 {
+			dst.markRow(row - sk)
 		}
 	}
 	ac.dirty = ac.dirty[:0]

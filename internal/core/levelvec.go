@@ -412,7 +412,7 @@ func (lv *levelVecs) sweepSame(ac *accum, k, dc int) {
 			row := dc*l + s1
 			rowBase := row * ac.rowLen
 			rowWords := ac.rows[row*ac.nw : row*ac.nw+nw]
-			ac.markRow(row, dc, uint32(s1))
+			ac.markRow(row)
 			if n1 > 1 {
 				ac.dense[rowBase+s1] += pairsOf(n1)
 				rowWords[w1] |= 1 << uint(b1)
@@ -466,7 +466,7 @@ func (lv *levelVecs) sweepCross(ac *accum, i, j, dc int) {
 			row := dc*l + r
 			rowBase := row * ac.rowLen
 			rowWords := ac.rows[row*ac.nw : row*ac.nw+nw]
-			ac.markRow(row, dc, uint32(r))
+			ac.markRow(row)
 			if nI := cntI[r]; nI != 0 {
 				// Level-j partners at or above r (diagonal included:
 				// the two depth roles make (r, r) a full product).

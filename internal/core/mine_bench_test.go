@@ -264,15 +264,22 @@ func BenchmarkMineCore(b *testing.B) {
 	}
 }
 
-// BenchmarkMineCoreForest measures forest-scale throughput of the full
-// entry points over a 200-tree Fig6 pool, serial and parallel at 1, 4,
-// and GOMAXPROCS workers.
-func BenchmarkMineCoreForest(b *testing.B) {
+// forestPool is BenchmarkMineCoreForest's forest: 200 Fig6-shaped trees
+// (Table 3 defaults) over one 200-label alphabet.
+func forestPool() []*tree.Tree {
 	rng := rand.New(rand.NewSource(7))
 	trees := make([]*tree.Tree, 200)
 	for i := range trees {
 		trees[i] = treegen.Fanout(rng, treegen.DefaultParams())
 	}
+	return trees
+}
+
+// BenchmarkMineCoreForest measures forest-scale throughput of the full
+// entry points over a 200-tree Fig6 pool, serial and parallel at 1, 4,
+// and GOMAXPROCS workers.
+func BenchmarkMineCoreForest(b *testing.B) {
+	trees := forestPool()
 	opts := DefaultForestOptions()
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 
 	"treemine/internal/tree"
@@ -42,9 +43,10 @@ type FrequentPair struct {
 // bounded tree size — the paper's Figures 6 and 7.
 //
 // It is a SupportShard fed one tree at a time and then finalized: every
-// per-tree pass runs on integer keys in reused buffers and folds into
-// the shard's dense pending table, so the cost per tree is pair
-// generation plus O(distinct items) — no string hashing and near-zero
+// per-tree pass runs on interned symbols in reused buffers, in a table
+// of the same geometry as the shard's dense pending table, and hands
+// its items over as cell indices — the cost per tree is pair generation
+// plus O(distinct items), with no decode, no string hashing and no
 // allocation. Labels come back as strings only in the result.
 func MineForest(trees []*tree.Tree, opts ForestOptions) []FrequentPair {
 	sh := NewSupportShard(opts)
@@ -102,21 +104,18 @@ func supportSlots(opts ForestOptions) int {
 	return int(opts.MaxDist) + 1
 }
 
-// supportSink is where forest support lands: the accumulator acc when it
-// is set — a shard's dense pending table or a worker's private one —
-// else the shard's durable count map, whose keys carry DistWild under
-// IgnoreDist where an accumulator uses distance slot 0.
+// supportSink is where forest support lands: the table acc when it is
+// set — a shard's dense pending table or a worker's private one — else
+// the shard's durable count map, whose keys carry DistWild under
+// IgnoreDist where a table uses distance slot 0.
 type supportSink struct {
 	acc  *accum
 	m    map[IKey]int64
 	wild bool
 }
 
+// add counts n more trees holding the item in the map.
 func (s supportSink) add(a, b uint32, dc int, n int32) {
-	if s.acc != nil {
-		s.acc.add(a, b, dc, n)
-		return
-	}
 	d := Dist(dc)
 	if s.wild {
 		d = DistWild
@@ -127,38 +126,34 @@ func (s supportSink) add(a, b uint32, dc int, n int32) {
 // mineTreeSupport mines the tree the miner is pointed at and folds its
 // qualifying items into sup: +1 per item the tree contains with
 // occurrence ≥ MinOccur, de-duplicated per label pair under IgnoreDist.
-// It is the one per-tree routine of every forest miner.
+// It is the one per-tree routine of every forest miner. The tree's own
+// table takes the geometry of sup's table, so its items move as cell
+// indices (accum.handOff, DESIGN.md §62); into the map they are decoded.
 func mineTreeSupport(m *miner, opts ForestOptions, sup supportSink) {
 	if m.maxJ == 0 {
 		return
 	}
-	m.acc.init(m.syms.Len(), m.nd)
+	minOccur := int32(min(max(opts.MinOccur, 1), math.MaxInt32))
+	l := m.syms.Len()
+	if sup.acc != nil {
+		l = sup.acc.l
+	}
+	m.acc.init(l, m.nd)
 	m.accumulate(&m.acc)
-	items, minOccur := &m.acc, opts.MinOccur
+	items := &m.acc
 	if opts.IgnoreDist {
 		// Collapse the tree's distances first so each label pair counts
 		// one support regardless of how many distances realize it.
-		m.wild.init(m.syms.Len(), 1)
-		wild := &m.wild
-		m.acc.drain(func(a, b uint32, dc int, n int32) {
-			if int(n) >= minOccur {
-				wild.add(a, b, 0, 1)
-			}
-		})
-		items, minOccur = wild, 1
+		m.wild.init(l, 1)
+		m.acc.handOff(&m.wild, minOccur, 1)
+		items, minOccur = &m.wild, 1
 	}
-	if acc := sup.acc; acc != nil {
-		// The dense hot path calls acc.add directly: one call per item
-		// fewer than going through supportSink.add.
-		items.drain(func(a, b uint32, dc int, n int32) {
-			if int(n) >= minOccur {
-				acc.add(a, b, dc, 1)
-			}
-		})
+	if sup.acc != nil {
+		items.handOff(sup.acc, minOccur, 1)
 		return
 	}
 	items.drain(func(a, b uint32, dc int, n int32) {
-		if int(n) >= minOccur {
+		if n >= minOccur {
 			sup.add(a, b, dc, 1)
 		}
 	})

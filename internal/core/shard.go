@@ -34,8 +34,8 @@ type SupportShard struct {
 
 	// Packed mode (opts.MaxDist ≤ MaxPackedDist): counts keyed by IKey
 	// over the shard-local symbol table. sup is the durable store;
-	// pending, when its table is allocated, holds counts of the last
-	// pendingTrees trees not yet folded into sup (see sink and flush).
+	// pending holds counts of the last pendingTrees trees not yet folded
+	// into sup (see sink and flush).
 	syms         *Symbols
 	sup          map[IKey]int64
 	pending      accum
@@ -139,7 +139,7 @@ func (sh *SupportShard) addTree(t *tree.Tree, unrooted bool) {
 
 // sink returns where the counts of n more trees over the current
 // alphabet go. While the alphabet fits a dense table that is the pending
-// accumulator, provisioned with headroom for labels still to come; it is
+// table, provisioned with headroom for labels still to come; it is
 // flushed first when the alphabet has outgrown it or when n more trees
 // could overflow its int32 cells (each tree adds at most 1 per cell).
 // Past the dense limit the counts go straight into sup.
@@ -152,15 +152,21 @@ func (sh *SupportShard) sink(n int) supportSink {
 		return supportSink{m: sh.sup, wild: sh.opts.IgnoreDist}
 	}
 	if sh.pendingTrees == 0 {
-		// Round up to whole bitmap words so a growing stream
-		// re-provisions once per 64 new labels, not per label.
-		if c := max(64, (l+63)&^63); denseFits(c, nd) {
-			l = c
-		}
-		sh.pending.init(l, nd)
+		sh.pending.init(pendingLabels(l, nd), nd)
 	}
 	sh.pendingTrees += n
 	return supportSink{acc: &sh.pending}
+}
+
+// pendingLabels is the pending table's label count for an alphabet of
+// l labels: rounded up to whole bitmap words where that still fits the
+// dense limit, so a growing stream re-provisions once per 64 new labels,
+// not per label. A table that covers l has this count.
+func pendingLabels(l, nd int) int {
+	if c := max(64, (l+63)&^63); denseFits(c, nd) {
+		return c
+	}
+	return l
 }
 
 // adoptable reports whether sh is a packed shard with nothing in it —
@@ -184,15 +190,15 @@ func (sh *SupportShard) unrun() {
 	sh.run = nil
 }
 
-// flush drains the pending accumulator into sup and drops its table,
-// so a shard at rest — read, snapshotted, spilled, or checkpointed —
-// holds its counts in sup alone, with no pending table besides.
+// flush drains the pending table into sup, so a shard at rest — read,
+// snapshotted, spilled, or checkpointed — holds its counts in sup alone.
+// The table is zeroed in place and kept for the trees still to come.
 func (sh *SupportShard) flush() {
 	if sh.pendingTrees == 0 {
 		return
 	}
 	sh.pending.drain(supportSink{m: sh.sup, wild: sh.opts.IgnoreDist}.add)
-	sh.pending, sh.pendingTrees = accum{}, 0
+	sh.pendingTrees = 0
 }
 
 // Merge folds other's counts and tree tally into sh. The two shards'
@@ -281,7 +287,11 @@ func (sh *SupportShard) snapshotLocal() (trees int, labels []string, items []Sha
 	defer sh.mu.Unlock()
 	trees = sh.trees
 	if sh.sup != nil {
+		// An export is taken at rest — a checkpoint, a merge, the end of
+		// a stream — so the pending table's memory goes back too; Len
+		// and DrainSorted, called every round, keep it.
 		sh.flush()
+		sh.pending = accum{}
 		labels = make([]string, sh.syms.Len())
 		for id := range labels {
 			labels[id] = sh.syms.Label(uint32(id))

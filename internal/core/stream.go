@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 
@@ -291,12 +292,13 @@ func mineStride(ctx context.Context, buf []*tree.Tree, base, w, workers int, min
 // addRound mines buf into sh over len(privs) workers. The round's labels
 // are interned into sh's table first; the workers then share that table
 // read-only, each mining its strided slice of buf into its private
-// accumulator, and on success the privates drain into sh. On
-// cancellation or a contained panic the privates are discarded and the
-// labels interned for the round are truncated away, leaving sh exactly
-// as it was — so a checkpoint still covers an exact prefix of the
-// stream, byte for byte. Past MaxPackedDist the privates are string-keyed
-// maps instead. sh stays locked for the whole round.
+// table, of the geometry the pending table takes for that alphabet, and
+// on success the privates hand over into sh. On cancellation or a
+// contained panic the privates are dropped and the labels interned for
+// the round are truncated away, leaving sh exactly as it was — so a
+// checkpoint still covers an exact prefix of the stream, byte for byte.
+// Past MaxPackedDist the privates are string-keyed maps instead. sh
+// stays locked for the whole round.
 func (sh *SupportShard) addRound(ctx context.Context, buf []*tree.Tree, base int, privs []accum) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -328,7 +330,10 @@ func (sh *SupportShard) addRound(ctx context.Context, buf []*tree.Tree, base int
 	for _, t := range buf {
 		sh.syms.InternTree(t)
 	}
-	l, nd := sh.syms.Len(), supportSlots(sh.opts)
+	// sink provisions the pending table, and counts the round's trees,
+	// only once the round has mined.
+	nd := supportSlots(sh.opts)
+	l := pendingLabels(sh.syms.Len(), nd)
 	err := forEachWorker(workers, func(w int) error {
 		privs[w].init(l, nd)
 		sup := supportSink{acc: &privs[w]}
@@ -346,11 +351,16 @@ func (sh *SupportShard) addRound(ctx context.Context, buf []*tree.Tree, base int
 	})
 	if err != nil {
 		sh.syms.truncate(before)
+		clear(privs) // they hold part of the round
 		return err
 	}
 	sup := sh.sink(len(buf))
 	for w := range privs {
-		privs[w].drain(sup.add)
+		if sup.acc != nil {
+			privs[w].handOff(sup.acc, 1, math.MaxInt32)
+		} else {
+			privs[w].drain(sup.add)
+		}
 	}
 	sh.trees += len(buf)
 	return nil
