@@ -29,10 +29,9 @@ import "math/bits"
 // Drain consumes every cell it reads, so a cell visited by both
 // mechanisms is reported once and zero cells are skipped either way.
 //
-// The same table holds a miner's per-tree counts and a shard's support
-// counts (its pending table, a worker's private table). At the same
-// geometry a tree's table hands its items over cell for cell, with no
-// decode and no re-encode (handOff, DESIGN.md §62).
+// A shard's support tables (its pending table, a worker's private table)
+// are filled only by handOff from a table of their own geometry, so they
+// keep no touched list (DESIGN.md §62).
 type accum struct {
 	l, nd   int     // symbol count and distance-slot count of the dense table
 	nw      int     // bitmap words per row: ceil(l/64)
@@ -221,76 +220,54 @@ func (ac *accum) discard() {
 	ac.dirty = ac.dirty[:0]
 }
 
-// handOff drains ac into dst, a table of the same geometry, and resets
-// ac: every cell holding n ≥ minOccur (≥ 1) adds min(n, most) to the
-// same cell of dst, whose bitmap bit and dirty row it sets — no decode
-// to a key, no re-encode, no touched list in dst (DESIGN.md §62). A dst
-// with fewer distance slots (IgnoreDist's wild table) takes every cell
-// folded onto slot 0. A map-mode ac, possible only there, adds its keys.
+// handOff moves ac's counts into dst, a dense table of the same
+// geometry, and resets ac: each cell holding n ≥ minOccur (≥ 1) adds
+// min(n, most) to the same cell of dst and sets its bitmap bit and dirty
+// row there — no decode to a key, no re-encode, no touched list in dst
+// (DESIGN.md §62). Past the dense limit both tables are maps at that
+// geometry, and a key moves as it is.
 func (ac *accum) handOff(dst *accum, minOccur, most int32) {
-	fold := dst.nd < ac.nd
 	if ac.m != nil {
 		for k, n := range ac.m {
 			if n >= minOccur {
-				a, b := k.Syms()
-				dc := int(k.Dist())
-				if fold {
-					dc = 0
-				}
-				dst.add(a, b, dc, min(n, most))
+				dst.m[k] += min(n, most)
 			}
 		}
 		clear(ac.m)
 		return
 	}
-	// skip is the rows by which folding moves a cell's row to slot 0.
-	skip := func(row int) int {
-		if !fold {
-			return 0
-		}
-		return int(ac.divL.div(uint32(row))) * ac.l
-	}
-	for _, cell := range ac.touched {
-		c, n := int(cell), ac.dense[cell]
-		ac.dense[cell] = 0
-		if n >= minOccur {
-			row := int(ac.divRow.div(uint32(c)))
-			sk := skip(row)
-			c -= sk * ac.rowLen
+	for _, c := range ac.touched {
+		if n := ac.dense[c]; n >= minOccur {
 			dst.dense[c] += min(n, most)
 			dst.rows[c>>6] |= 1 << (c & 63)
-			dst.markRow(row - sk)
+			dst.markRow(int(ac.divRow.div(uint32(c))))
 		}
+		ac.dense[c] = 0
 	}
 	ac.touched = ac.touched[:0]
-	for _, e := range ac.dirty {
-		row := int(e)
+	for _, row := range ac.dirty {
 		ac.rowBits[row>>6] &^= 1 << (row & 63)
-		sk := skip(row)
-		// rowLen is nw·64, so a set bit's cell is its word's index·64
-		// plus its position, in ac and in dst alike.
-		sw, kept := sk*ac.nw, uint64(0)
-		for w := row * ac.nw; w < (row+1)*ac.nw; w++ {
+		// rowLen is nw·64, so bitmap word w covers cells w·64 … w·64+63.
+		kept := uint64(0)
+		for w := int(row) * ac.nw; w < int(row+1)*ac.nw; w++ {
 			bw, keep := ac.rows[w], uint64(0)
 			if bw == 0 {
 				continue
 			}
 			ac.rows[w] = 0
-			for bw != 0 {
-				bit := bits.TrailingZeros64(bw)
-				bw &= bw - 1
-				c := w<<6 + bit
+			for ; bw != 0; bw &= bw - 1 {
+				c := w<<6 + bits.TrailingZeros64(bw)
 				if n := ac.dense[c]; n >= minOccur {
-					dst.dense[c-sw<<6] += min(n, most)
-					keep |= 1 << bit
+					dst.dense[c] += min(n, most)
+					keep |= bw & -bw
 				}
 				ac.dense[c] = 0
 			}
-			dst.rows[w-sw] |= keep
+			dst.rows[w] |= keep
 			kept |= keep
 		}
 		if kept != 0 {
-			dst.markRow(row - sk)
+			dst.markRow(int(row))
 		}
 	}
 	ac.dirty = ac.dirty[:0]

@@ -76,7 +76,8 @@ func TestHandOffDifferential(t *testing.T) {
 		{"crossings", growingForest(rand.New(rand.NewSource(1)), 24, 50, 24)},
 		// ~40 a tree: past 512 labels, where the four distance slots of
 		// maxdist 1.5 leave the dense limit but IgnoreDist's one slot
-		// keeps a dense pending table over map-mode tree tables.
+		// keeps a dense pending table over map-mode tree tables, and
+		// a multi-worker round hands map-mode private tables over.
 		{"dense-limit", growingForest(rand.New(rand.NewSource(2)), 24, 90, 64)},
 	}
 	for _, f := range forests {

@@ -114,49 +114,58 @@ type supportSink struct {
 	wild bool
 }
 
-// add counts n more trees holding the item in the map.
-func (s supportSink) add(a, b uint32, dc int, n int32) {
-	d := Dist(dc)
-	if s.wild {
-		d = DistWild
+// take moves src's items holding n ≥ minOccur into the sink, min(n, most)
+// each, and resets src: cell for cell into the table, which src's
+// geometry must match, or decoded to keys into the map.
+func (s supportSink) take(src *accum, minOccur, most int32) {
+	if s.acc != nil {
+		src.handOff(s.acc, minOccur, most)
+		return
 	}
-	s.m[NewIKey(a, b, d)] += int64(n)
+	src.drain(func(a, b uint32, dc int, n int32) {
+		if n >= minOccur {
+			d := Dist(dc)
+			if s.wild {
+				d = DistWild
+			}
+			s.m[NewIKey(a, b, d)] += int64(min(n, most))
+		}
+	})
 }
 
 // mineTreeSupport mines the tree the miner is pointed at and folds its
 // qualifying items into sup: +1 per item the tree contains with
 // occurrence ≥ MinOccur, de-duplicated per label pair under IgnoreDist.
-// It is the one per-tree routine of every forest miner. The tree's own
-// table takes the geometry of sup's table, so its items move as cell
-// indices (accum.handOff, DESIGN.md §62); into the map they are decoded.
+// It is the one per-tree routine of every forest miner.
 func mineTreeSupport(m *miner, opts ForestOptions, sup supportSink) {
 	if m.maxJ == 0 {
 		return
 	}
-	minOccur := int32(min(max(opts.MinOccur, 1), math.MaxInt32))
-	l := m.syms.Len()
+	// The table sup takes from has sup's geometry, so its cells move as
+	// they are (accum.handOff, DESIGN.md §62).
+	l, minOccur := m.syms.Len(), int32(min(max(opts.MinOccur, 1), math.MaxInt32))
 	if sup.acc != nil {
 		l = sup.acc.l
 	}
-	m.acc.init(l, m.nd)
-	m.accumulate(&m.acc)
-	items := &m.acc
-	if opts.IgnoreDist {
-		// Collapse the tree's distances first so each label pair counts
-		// one support regardless of how many distances realize it.
-		m.wild.init(l, 1)
-		m.acc.handOff(&m.wild, minOccur, 1)
-		items, minOccur = &m.wild, 1
-	}
-	if sup.acc != nil {
-		items.handOff(sup.acc, minOccur, 1)
+	if !opts.IgnoreDist {
+		m.acc.init(l, m.nd)
+		m.accumulate(&m.acc)
+		sup.take(&m.acc, minOccur, 1)
 		return
 	}
-	items.drain(func(a, b uint32, dc int, n int32) {
+	// Collapse the tree's distances first so each label pair counts one
+	// support regardless of how many distances realize it. The tree's
+	// own table has more distance slots than sup's and keeps its size.
+	m.acc.init(m.syms.Len(), m.nd)
+	m.accumulate(&m.acc)
+	m.wild.init(l, 1)
+	wild := &m.wild
+	m.acc.drain(func(a, b uint32, dc int, n int32) {
 		if n >= minOccur {
-			sup.add(a, b, dc, 1)
+			wild.add(a, b, 0, 1)
 		}
 	})
+	sup.take(wild, 1, 1)
 }
 
 // forestItems is the string-keyed per-tree step for options the packed

@@ -197,7 +197,7 @@ func (sh *SupportShard) flush() {
 	if sh.pendingTrees == 0 {
 		return
 	}
-	sh.pending.drain(supportSink{m: sh.sup, wild: sh.opts.IgnoreDist}.add)
+	supportSink{m: sh.sup, wild: sh.opts.IgnoreDist}.take(&sh.pending, 1, math.MaxInt32)
 	sh.pendingTrees = 0
 }
 

@@ -356,11 +356,7 @@ func (sh *SupportShard) addRound(ctx context.Context, buf []*tree.Tree, base int
 	}
 	sup := sh.sink(len(buf))
 	for w := range privs {
-		if sup.acc != nil {
-			privs[w].handOff(sup.acc, 1, math.MaxInt32)
-		} else {
-			privs[w].drain(sup.add)
-		}
+		sup.take(&privs[w], 1, math.MaxInt32)
 	}
 	sh.trees += len(buf)
 	return nil
