@@ -17,14 +17,15 @@ import "math/bits"
 // Dense cells are tracked for O(distinct) drain by two mechanisms that
 // coexist in one pass:
 //
-//   - add (the pair-enumeration and merge path) and the sparse sweeps
-//     append each cell to a touched list on its first touch, decoded at
-//     drain time with precomputed magic dividers (Granlund–Montgomery)
-//     instead of hardware divisions;
+//   - add (pair enumeration, IgnoreDist's collapse) and the sparse
+//     sweeps append each cell to a touched list on its first touch,
+//     decoded at drain time with precomputed magic dividers
+//     (Granlund–Montgomery) instead of hardware divisions;
 //   - the blocked sweeps and handOff mark whole rows at once by OR-ing
 //     masked words into a per-row cell bitmap (rows, nw words per row),
 //     with a dirty-row list for the drain scan. Bit position recovers
-//     the column with shifts, and one magic division per row the row.
+//     the column with shifts, one magic division per row its distance
+//     slot and symbol.
 //
 // Drain consumes every cell it reads, so a cell visited by both
 // mechanisms is reported once and zero cells are skipped either way.

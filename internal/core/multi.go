@@ -43,10 +43,10 @@ type FrequentPair struct {
 // bounded tree size — the paper's Figures 6 and 7.
 //
 // It is a SupportShard fed one tree at a time and then finalized: every
-// per-tree pass runs on interned symbols in reused buffers, in a table
-// of the same geometry as the shard's dense pending table, and hands
-// its items over as cell indices — the cost per tree is pair generation
-// plus O(distinct items), with no decode, no string hashing and no
+// per-tree pass runs on interned symbols in reused buffers and ends in
+// a table of the same geometry as the shard's dense pending table, which
+// takes the tree's items as cell indices — the cost per tree is pair
+// generation plus O(distinct items), with no string hashing and no
 // allocation. Labels come back as strings only in the result.
 func MineForest(trees []*tree.Tree, opts ForestOptions) []FrequentPair {
 	sh := NewSupportShard(opts)
