@@ -199,23 +199,16 @@ func runCluster(m *cluster.Matrix, k int, linkage string, seed int64, stdout io.
 			fmt.Fprintf(stdout, " T%d", md+1)
 		}
 		fmt.Fprintln(stdout)
-	case "single", "complete", "average":
-		var l cluster.Linkage
-		switch linkage {
-		case "single":
-			l = cluster.Single
-		case "complete":
-			l = cluster.Complete
-		default:
-			l = cluster.Average
+	default:
+		ls := []cluster.Linkage{cluster.Single, cluster.Complete, cluster.Average}
+		at := slices.IndexFunc(ls, func(l cluster.Linkage) bool { return l.String() == linkage })
+		if at < 0 {
+			return fmt.Errorf("unknown linkage %q", linkage)
 		}
 		var err error
-		assign, err = cluster.Agglomerate(m, l).Cut(k)
-		if err != nil {
+		if assign, err = cluster.Agglomerate(m, ls[at]).Cut(k); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("unknown linkage %q", linkage)
 	}
 	tb := benchutil.NewTable("tree", "cluster")
 	for i, c := range assign {

@@ -6,7 +6,9 @@
 // cousin-based tree distance of §5.3, which works even when the trees'
 // taxa differ; two standard clusterers are provided: k-medoids (PAM-style
 // swap descent) and agglomerative hierarchical clustering with
-// single/complete/average linkage.
+// single/complete/average linkage. The agglomeration runs on Join, one
+// closest-pair-and-merge loop with a Rule of three hooks; package
+// reconstruct runs UPGMA and Neighbor-Joining on the same loop.
 package cluster
 
 import (
@@ -189,17 +191,8 @@ func kMedoidsOnce(m *Matrix, k int, rng *rand.Rand) *KMedoidsResult {
 		}
 	}
 	sort.Ints(medoids)
-	res := &KMedoidsResult{Medoids: medoids, Assignment: make([]int, n), Cost: cost}
-	for i := 0; i < n; i++ {
-		bestD, bestM := math.Inf(1), 0
-		for mi, md := range medoids {
-			if d := m.At(i, md); d < bestD {
-				bestD, bestM = d, mi
-			}
-		}
-		res.Assignment[i] = bestM
-	}
-	return res
+	rebuild()
+	return &KMedoidsResult{Medoids: medoids, Assignment: near, Cost: cost}
 }
 
 // assignCost is the full O(n·k) clustering cost: each point's distance
@@ -261,73 +254,122 @@ type Dendrogram struct {
 	Merges []Merge
 }
 
-// Agglomerate builds the dendrogram of m under the linkage by the
-// straightforward O(n³) algorithm (fine at phylogeny-collection sizes).
+// Agglomerate builds the dendrogram of m under the linkage: Join down
+// to one cluster under the linkage's Rule, each step renamed to the
+// scipy-style ids of the two clusters it joins.
 func Agglomerate(m *Matrix, l Linkage) *Dendrogram {
 	n := m.Len()
-	d := &Dendrogram{n: n}
-	if n == 0 {
-		return d
-	}
-	type cl struct {
-		id     int
-		points []int
-	}
-	clusters := make([]cl, n)
-	for i := range clusters {
-		clusters[i] = cl{id: i, points: []int{i}}
-	}
-	linkDist := func(a, b cl) float64 {
-		switch l {
-		case Single:
-			best := math.Inf(1)
-			for _, x := range a.points {
-				for _, y := range b.points {
-					if v := m.At(x, y); v < best {
-						best = v
-					}
-				}
-			}
-			return best
-		case Complete:
-			worst := math.Inf(-1)
-			for _, x := range a.points {
-				for _, y := range b.points {
-					if v := m.At(x, y); v > worst {
-						worst = v
-					}
-				}
-			}
-			return worst
-		default: // Average
-			sum := 0.0
-			for _, x := range a.points {
-				for _, y := range b.points {
-					sum += m.At(x, y)
-				}
-			}
-			return sum / float64(len(a.points)*len(b.points))
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+		for j := range d[i] {
+			d[i][j] = m.At(i, j)
 		}
 	}
-	nextID := n
-	for len(clusters) > 1 {
-		bi, bj, bd := 0, 1, math.Inf(1)
-		for i := 0; i < len(clusters); i++ {
-			for j := i + 1; j < len(clusters); j++ {
-				if v := linkDist(clusters[i], clusters[j]); v < bd {
-					bi, bj, bd = i, j, v
+	steps, _ := Join(d, 1, l.Rule())
+	id := make([]int, n) // id[s]: the id of the cluster in slot s
+	for i := range id {
+		id[i] = i
+	}
+	den := &Dendrogram{n: n, Merges: make([]Merge, len(steps))}
+	for t, st := range steps {
+		den.Merges[t] = Merge{A: id[st.I], B: id[st.J], Dist: st.Crit}
+		id[st.I] = n + t
+	}
+	return den
+}
+
+// Rule returns the linkage's hooks for Join. Single and complete
+// linkage keep each cluster pair's minimum and maximum distance. Average
+// linkage keeps the pair's distance sum and scores it divided by the
+// product of the cluster sizes, so on integer distances every score is
+// the exact mean.
+func (l Linkage) Rule() Rule {
+	switch l {
+	case Single:
+		return Rule{Crit: pairDist, Update: func(d [][]float64, _ []int, k, i, j int) float64 {
+			return min(d[i][k], d[j][k])
+		}}
+	case Complete:
+		return Rule{Crit: pairDist, Update: func(d [][]float64, _ []int, k, i, j int) float64 {
+			return max(d[i][k], d[j][k])
+		}}
+	default: // Average
+		return Rule{
+			Crit: func(d [][]float64, size []int, i, j int) float64 {
+				return d[i][j] / float64(size[i]*size[j])
+			},
+			Update: func(d [][]float64, _ []int, k, i, j int) float64 { return d[i][k] + d[j][k] },
+		}
+	}
+}
+
+func pairDist(d [][]float64, _ []int, i, j int) float64 { return d[i][j] }
+
+// Rule is an agglomerative method as the three hooks Join calls around
+// its closest-pair loop (the premin/dminfn/dnewfn of Numerical Recipes'
+// Phylagglom). d is Join's working matrix and size[s] the number of
+// points in slot s's cluster.
+type Rule struct {
+	// Prep, when set, runs before each scan of the active slots.
+	Prep func(d [][]float64, active []int)
+	// Crit scores joining slots i and j; the smallest score joins.
+	Crit func(d [][]float64, size []int, i, j int) float64
+	// Update returns the entry of i and j's joined cluster against slot
+	// k, from the matrix and sizes as they were before the join.
+	Update func(d [][]float64, size []int, k, i, j int) float64
+}
+
+// Step is one join of Join's history: the cluster in slot J joined the
+// one in slot I, which holds the result, at score Crit.
+type Step struct {
+	I, J int
+	Crit float64
+}
+
+// Join agglomerates the points of the square matrix d under r until
+// stop slots (at least one) remain, and returns the joins in order and
+// the slots still active. It works on a private copy of d: slot s
+// starts as point s, and a join writes Update's entries into row and
+// column I. Ties go to the scan order: the active slots are visited as
+// positions x < y, and the first pair with the strictly smallest score
+// wins, from +Inf with (0, 1) as the default pair. The last active slot
+// then moves into J's position. O(n²) memory, O(n³) time.
+func Join(d [][]float64, stop int, r Rule) (steps []Step, active []int) {
+	n := len(d)
+	w, buf := make([][]float64, n), make([]float64, n*n)
+	size := make([]int, n)
+	active = make([]int, n)
+	for i := range w {
+		w[i] = buf[i*n : (i+1)*n]
+		copy(w[i], d[i])
+		size[i], active[i] = 1, i
+	}
+	for len(active) > max(stop, 1) {
+		if r.Prep != nil {
+			r.Prep(w, active)
+		}
+		bx, by, best := 0, 1, math.Inf(1)
+		for x, i := range active {
+			for y := x + 1; y < len(active); y++ {
+				if c := r.Crit(w, size, i, active[y]); c < best {
+					bx, by, best = x, y, c
 				}
 			}
 		}
-		d.Merges = append(d.Merges, Merge{A: clusters[bi].id, B: clusters[bj].id, Dist: bd})
-		merged := cl{id: nextID, points: append(append([]int(nil),
-			clusters[bi].points...), clusters[bj].points...)}
-		nextID++
-		clusters[bj] = clusters[len(clusters)-1]
-		clusters = clusters[:len(clusters)-1]
-		clusters[bi] = merged
+		i, j := active[bx], active[by]
+		for _, k := range active {
+			if k != i && k != j {
+				w[i][k] = r.Update(w, size, k, i, j)
+				w[k][i] = w[i][k]
+			}
+		}
+		size[i] += size[j]
+		steps = append(steps, Step{I: i, J: j, Crit: best})
+		active[by] = active[len(active)-1]
+		active = active[:len(active)-1]
 	}
-	return d
+	return steps, active
 }
 
 // Cut returns the assignment of points to k clusters by undoing the last

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"treemine/internal/core"
+	"treemine/internal/oracle"
 	"treemine/internal/tree"
 	"treemine/internal/treegen"
 )
@@ -319,5 +320,85 @@ func TestTDistMatrixMatchesPairwiseMining(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// diffMatrix is the seed-th matrix of the agglomeration differentials:
+// n from 1 to 14, real-valued entries in [0, 1) for even seeds and
+// small integers 0–3, full of ties, for odd ones.
+func diffMatrix(seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	n := 1 + rng.Intn(14)
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := rng.Float64()
+			if seed%2 == 1 {
+				v = float64(rng.Intn(4))
+			}
+			d[i][j], d[j][i] = v, v
+		}
+	}
+	return d
+}
+
+// TestAgglomerateMatchesOracle: on 3,200 random matrices the engine's
+// single and complete linkage merges equal the point-list loop's bit
+// for bit, and so do average linkage's on integer entries. On real
+// entries average linkage sums in another order, so it merges in the
+// same order at distances within 1e-12 relative.
+func TestAgglomerateMatchesOracle(t *testing.T) {
+	for seed := int64(0); seed < 3200; seed++ {
+		d := diffMatrix(seed)
+		m := NewMatrix(len(d))
+		for i := range d {
+			for j := i + 1; j < len(d); j++ {
+				m.Set(i, j, d[i][j])
+			}
+		}
+		for _, l := range []Linkage{Single, Complete, Average} {
+			got, want := Agglomerate(m, l).Merges, oracle.Agglomerate(d, l.String())
+			if len(got) != len(want) {
+				t.Fatalf("seed %d %s: %d merges, want %d", seed, l, len(got), len(want))
+			}
+			for s := range want {
+				g, w := got[s], want[s]
+				exact := l != Average || seed%2 == 1
+				if g.A != w.A || g.B != w.B || (exact && g.Dist != w.Dist) ||
+					math.Abs(g.Dist-w.Dist) > 1e-12*math.Abs(w.Dist) {
+					t.Fatalf("seed %d %s: merge %d = %+v, want %+v", seed, l, s, g, w)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAgglomerate clusters a random 200-point matrix under each
+// linkage, with the engine and with the point-list loop it replaced.
+func BenchmarkAgglomerate(b *testing.B) {
+	m := randMatrix(rand.New(rand.NewSource(1)), 200)
+	d := make([][]float64, m.Len())
+	for i := range d {
+		d[i] = make([]float64, m.Len())
+		for j := range d[i] {
+			d[i][j] = m.At(i, j)
+		}
+	}
+	for _, l := range []Linkage{Single, Complete, Average} {
+		b.Run(l.String()+"/engine", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Agglomerate(m, l)
+			}
+		})
+		b.Run(l.String()+"/oracle", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				oracle.Agglomerate(d, l.String())
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -378,23 +377,21 @@ func (sh *SupportShard) LocalLabels() []string {
 // pairs with support ≥ minsup, sorted by decreasing support then key —
 // exactly MineForest's output shape. The shard is left intact, so a
 // streaming pipeline can checkpoint intermediate results and keep
-// mining. minsup ≤ 1 reports every accumulated pair. It sorts the
-// canonical export on integers — rank order of the sorted label table
-// is key order — and builds the string keys only for the result.
+// mining. minsup ≤ 1 reports every accumulated pair. It radix-sorts the
+// canonical export by key (label rank order is key order), then counts
+// it stably into support order, and builds string keys only for output.
 func (sh *SupportShard) Finalize(minsup int) []FrequentPair {
-	_, labels, items, _ := sh.canonical()
+	_, labels, items, sorted := sh.canonical()
 	items = slices.DeleteFunc(items, func(it ShardItem) bool { return it.N < int64(minsup) })
 	if len(items) == 0 {
 		return nil
 	}
-	slices.SortFunc(items, func(x, y ShardItem) int {
-		if c := cmp.Compare(y.N, x.N); c != 0 {
-			return c
-		}
-		return compareShardItems(x, y)
-	})
+	if !sorted {
+		SortShardItems(items)
+	}
 	out := make([]FrequentPair, len(items))
-	for i, it := range items {
+	for i, p := range SupportOrder(len(items), func(i int) int64 { return items[i].N }) {
+		it := items[p]
 		out[i] = FrequentPair{Key: Key{A: labels[it.A], B: labels[it.B], D: it.D}, Support: int(it.N)}
 	}
 	return out
@@ -462,17 +459,6 @@ func canonicalLabels(local []string) (sorted []string, trans []uint32) {
 		trans[i] = rank[l]
 	}
 	return sorted, trans
-}
-
-// compareShardItems orders items by (A, B, D).
-func compareShardItems(x, y ShardItem) int {
-	if c := cmp.Compare(x.A, y.A); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(x.B, y.B); c != 0 {
-		return c
-	}
-	return cmp.Compare(x.D, y.D)
 }
 
 // RestoreShard rebuilds a shard from a Snapshot-shaped export, validating

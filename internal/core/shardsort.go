@@ -1,6 +1,10 @@
 package core
 
-import "math/bits"
+import (
+	"cmp"
+	"math"
+	"math/bits"
+)
 
 // radixCutoff is the bucket size below which SortShardItems finishes a
 // bucket with insertion sort instead of another radix pass.
@@ -127,4 +131,72 @@ func insertionSortShardItems(items []ShardItem) {
 			items[j], items[j-1] = items[j-1], items[j]
 		}
 	}
+}
+
+// compareShardItems orders items by (A, B, D).
+func compareShardItems(x, y ShardItem) int {
+	if c := cmp.Compare(x.A, y.A); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.B, y.B); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.D, y.D)
+}
+
+// SupportOrder returns the record indexes 0..n-1 ordered by descending
+// support(i), equal supports in index order: a stable LSD counting sort
+// on 16-bit digits of hi − support(i). A support span below 1<<16 —
+// every corpus of fewer than 65,536 trees — takes one pass straight
+// into the result, with no scratch array.
+func SupportOrder(n int, support func(i int) int64) []uint32 {
+	perm := make([]uint32, n)
+	hi, lo := int64(math.MinInt64), int64(math.MaxInt64)
+	for i := 0; i < n; i++ {
+		hi, lo = max(hi, support(i)), min(lo, support(i))
+	}
+	span := bits.Len64(uint64(hi) - uint64(lo))
+	if n < 2 || span == 0 {
+		for i := range perm {
+			perm[i] = uint32(i)
+		}
+		return perm
+	}
+	width := min(span, 16)
+	passes := (span + width - 1) / width
+	count := make([]int, 1<<width)
+	// Passes alternate between perm and scratch, arranged so the last
+	// one lands in perm.
+	bufs := [2][]uint32{perm, nil}
+	if passes > 1 {
+		bufs[1] = make([]uint32, n)
+	}
+	var src []uint32 // the previous pass's order; nil is the identity
+	for p := 0; p < passes; p++ {
+		dst, shift := bufs[(passes-1-p)%2], p*width
+		at := func(j int) (i uint32, digit int) {
+			i = uint32(j)
+			if src != nil {
+				i = src[j]
+			}
+			return i, int((uint64(hi)-uint64(support(int(i))))>>shift) & (1<<width - 1)
+		}
+		clear(count)
+		for j := 0; j < n; j++ {
+			_, d := at(j)
+			count[d]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for j := 0; j < n; j++ {
+			i, d := at(j)
+			dst[count[d]] = i
+			count[d]++
+		}
+		src = dst
+	}
+	return perm
 }

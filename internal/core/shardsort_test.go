@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"slices"
+	"sort"
 	"strconv"
 	"testing"
 )
@@ -150,5 +151,29 @@ func TestSortShardItemsAllocs(t *testing.T) {
 	t.Logf("allocations per sort: %v at 1,000 items, %v at 100,000", counts[1000], counts[100000])
 	if counts[1000] > 2 || counts[100000] != counts[1000] {
 		t.Fatalf("allocations per sort: %v at 1,000 items, %v at 100,000; want the same count, at most 2", counts[1000], counts[100000])
+	}
+}
+
+// TestSupportOrder: the counting permutation is the stable
+// support-descending order sort.SliceStable gave, for spans of one
+// digit, of exactly 16 bits, and of several passes.
+func TestSupportOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct {
+		n    int
+		span int64
+	}{{0, 1}, {1, 5}, {2, 1}, {1000, 1}, {5000, 40}, {5000, 1 << 16}, {20000, 1 << 17}, {20000, 1 << 40}} {
+		sup := make([]int64, tc.n)
+		for i := range sup {
+			sup[i] = 1 + rng.Int63n(tc.span)
+		}
+		want := make([]uint32, tc.n)
+		for i := range want {
+			want[i] = uint32(i)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return sup[want[i]] > sup[want[j]] })
+		if got := SupportOrder(tc.n, func(i int) int64 { return sup[i] }); !slices.Equal(got, want) {
+			t.Fatalf("n=%d span=%d: order differs from the stable sort", tc.n, tc.span)
+		}
 	}
 }

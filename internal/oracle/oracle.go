@@ -8,7 +8,9 @@
 // contrasts with its guided enumeration), forest support is a map
 // count, DecodeV4 reads a v4 file from the byte layout in DESIGN.md §9
 // and §14, and EncodeV2 writes the version-2 gob index file that tests
-// of the legacy conversion need as input.
+// of the legacy conversion need as input. Agglomerate, UPGMA and
+// NeighborJoining are the three closest-pair loops the agglomeration
+// engine of internal/cluster replaced, each coded on its own.
 //
 // Only test files and the ablation experiment of cmd/benchpaper may
 // import this package; `make check` enforces the fence.

@@ -1,17 +1,21 @@
 // Package reconstruct builds phylogenies from pairwise distance data:
 // UPGMA (average-linkage agglomeration, which assumes a molecular clock)
 // and Neighbor-Joining (Saitou & Nei 1987, consistent on any additive
-// distance). Together with internal/parsimony these cover the two
-// classic reconstruction families the paper's pipeline draws trees from
-// — §6 notes that MP and ML methods produce the unrooted trees the
-// free-tree extension targets, and distance methods are the third
-// standard source of input phylogenies for mining.
+// distance). Both run cluster.Join, the one closest-pair loop: UPGMA
+// under average linkage's rule and NJ under its own Q-criterion rule,
+// and one emitter turns the join history into a tree. Together with
+// internal/parsimony these cover the two classic reconstruction
+// families the paper's pipeline draws trees from — §6 notes that MP
+// and ML methods produce the unrooted trees the free-tree extension
+// targets, and distance methods are the third standard source of input
+// phylogenies for mining.
 package reconstruct
 
 import (
 	"errors"
 	"fmt"
 
+	"treemine/internal/cluster"
 	"treemine/internal/seqsim"
 	"treemine/internal/tree"
 )
@@ -77,55 +81,14 @@ func emit(s *shape, parent tree.NodeID, b *tree.Builder) {
 }
 
 // UPGMA reconstructs a rooted binary phylogeny by repeatedly joining the
-// closest pair of clusters under average linkage. On ultrametric
-// distances (a perfect molecular clock) it recovers the true topology.
+// closest pair of clusters under average linkage: cluster.Join under
+// cluster.Average's rule, read into a tree. On ultrametric distances (a
+// perfect molecular clock) it recovers the true topology.
 func UPGMA(names []string, d [][]float64) (*tree.Tree, error) {
 	if err := validate(names, d); err != nil {
 		return nil, err
 	}
-	n := len(names)
-	nodes := make([]*shape, n)
-	sizes := make([]int, n)
-	for i, name := range names {
-		nodes[i] = &shape{label: name}
-		sizes[i] = 1
-	}
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = append([]float64(nil), d[i]...)
-	}
-	active := make([]int, n)
-	for i := range active {
-		active[i] = i
-	}
-	for len(active) > 1 {
-		bi, bj := 0, 1
-		for i := 0; i < len(active); i++ {
-			for j := i + 1; j < len(active); j++ {
-				if dist[active[i]][active[j]] < dist[active[bi]][active[bj]] {
-					bi, bj = i, j
-				}
-			}
-		}
-		a, b := active[bi], active[bj]
-		merged := &shape{kids: []*shape{nodes[a], nodes[b]}}
-		// Average-linkage update, stored in slot a.
-		for _, k := range active {
-			if k == a || k == b {
-				continue
-			}
-			dist[a][k] = (dist[a][k]*float64(sizes[a]) + dist[b][k]*float64(sizes[b])) /
-				float64(sizes[a]+sizes[b])
-			dist[k][a] = dist[a][k]
-		}
-		nodes[a] = merged
-		sizes[a] += sizes[b]
-		active[bj] = active[len(active)-1]
-		active = active[:len(active)-1]
-	}
-	b := tree.NewBuilder()
-	emit(nodes[active[0]], tree.None, b)
-	return b.Build()
+	return build(names, d, 1, cluster.Average.Rule())
 }
 
 // NeighborJoining reconstructs a phylogeny with the Saitou–Nei
@@ -137,64 +100,52 @@ func NeighborJoining(names []string, d [][]float64) (*tree.Tree, error) {
 	if err := validate(names, d); err != nil {
 		return nil, err
 	}
-	n := len(names)
-	nodes := make([]*shape, n)
+	return build(names, d, 3, njRule(len(d)))
+}
+
+// njRule is the neighbor-joining rule for n taxa. Prep takes the row
+// sums r over the m active slots, Crit is Q(i, j) = (m−2)·d(i,j) − r(i)
+// − r(j), and the joined node's distance to k is (d(i,k) + d(j,k) −
+// d(i,j))/2, clamped at 0.
+func njRule(n int) cluster.Rule {
+	r, m := make([]float64, n), 0
+	return cluster.Rule{
+		Prep: func(d [][]float64, active []int) {
+			m = len(active)
+			for _, i := range active {
+				r[i] = 0
+				for _, j := range active {
+					r[i] += d[i][j]
+				}
+			}
+		},
+		Crit: func(d [][]float64, _ []int, i, j int) float64 {
+			return float64(m-2)*d[i][j] - r[i] - r[j]
+		},
+		Update: func(d [][]float64, _ []int, k, i, j int) float64 {
+			return max((d[i][k]+d[j][k]-d[i][j])/2, 0)
+		},
+	}
+}
+
+// build joins d under r down to stop clusters and emits the history as
+// a tree: each join is a new node over the two joined subtrees, and the
+// clusters left at the end hang from the root (one left is the root).
+func build(names []string, d [][]float64, stop int, r cluster.Rule) (*tree.Tree, error) {
+	nodes := make([]*shape, len(names))
 	for i, name := range names {
 		nodes[i] = &shape{label: name}
 	}
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = append([]float64(nil), d[i]...)
+	steps, active := cluster.Join(d, stop, r)
+	for _, st := range steps {
+		nodes[st.I] = &shape{kids: []*shape{nodes[st.I], nodes[st.J]}}
 	}
-	active := make([]int, n)
-	for i := range active {
-		active[i] = i
-	}
-	for len(active) > 3 {
-		m := len(active)
-		// Row sums over active entries.
-		r := make(map[int]float64, m)
+	root := nodes[active[0]]
+	if len(active) > 1 {
+		root = &shape{}
 		for _, i := range active {
-			for _, j := range active {
-				r[i] += dist[i][j]
-			}
+			root.kids = append(root.kids, nodes[i])
 		}
-		// Minimize the Q criterion.
-		bi, bj := 0, 1
-		bestQ := 0.0
-		first := true
-		for x := 0; x < m; x++ {
-			for y := x + 1; y < m; y++ {
-				i, j := active[x], active[y]
-				q := float64(m-2)*dist[i][j] - r[i] - r[j]
-				if first || q < bestQ {
-					bestQ, bi, bj, first = q, x, y, false
-				}
-			}
-		}
-		a, b := active[bi], active[bj]
-		merged := &shape{kids: []*shape{nodes[a], nodes[b]}}
-		for _, k := range active {
-			if k == a || k == b {
-				continue
-			}
-			nd := (dist[a][k] + dist[b][k] - dist[a][b]) / 2
-			if nd < 0 {
-				nd = 0
-			}
-			dist[a][k] = nd
-			dist[k][a] = nd
-		}
-		nodes[a] = merged
-		active[bj] = active[len(active)-1]
-		active = active[:len(active)-1]
-	}
-	root := &shape{}
-	for _, i := range active {
-		root.kids = append(root.kids, nodes[i])
-	}
-	if len(root.kids) == 1 {
-		root = root.kids[0]
 	}
 	b := tree.NewBuilder()
 	emit(root, tree.None, b)

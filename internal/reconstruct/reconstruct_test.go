@@ -2,10 +2,12 @@ package reconstruct
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"treemine/internal/newick"
+	"treemine/internal/oracle"
 	"treemine/internal/seqsim"
 	"treemine/internal/tree"
 	"treemine/internal/treegen"
@@ -167,3 +169,107 @@ func TestPipelineRecoverTopology(t *testing.T) {
 		t.Fatalf("UPGMA recovered only %.0f%% of true clusters", 100*ratio)
 	}
 }
+
+// diffMatrix is the seed-th matrix of the differential: n from 1 to 14
+// taxa, real-valued for even seeds and small-integer for odd ones.
+func diffMatrix(seed int64) ([]string, [][]float64) {
+	rng := rand.New(rand.NewSource(seed))
+	return randInput(rng, 1+rng.Intn(14), seed%2 == 1)
+}
+
+// randInput is a random distance matrix over n taxa t0, t1, …: entries
+// in [0, 1), or with ints small integers 0–3, full of ties.
+func randInput(rng *rand.Rand, n int, ints bool) ([]string, [][]float64) {
+	names := make([]string, n)
+	d := make([][]float64, n)
+	for i := range d {
+		names[i] = fmt.Sprintf("t%d", i)
+		d[i] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := rng.Float64()
+			if ints {
+				v = float64(rng.Intn(4))
+			}
+			d[i][j], d[j][i] = v, v
+		}
+	}
+	return names, d
+}
+
+// mergesNewick writes the rooted binary tree a merge history describes,
+// each merge a node over its clusters A and B in that order.
+func mergesNewick(names []string, merges []oracle.Merge) string {
+	sub := append([]string(nil), names...)
+	for _, m := range merges {
+		sub = append(sub, "("+sub[m.A]+","+sub[m.B]+")")
+	}
+	return sub[len(sub)-1] + ";"
+}
+
+// TestJoinMatchesOracle: on 3,200 random matrices NeighborJoining writes
+// the same Newick string as the loop it replaced. UPGMA does on the
+// real-valued matrices; on the integer ones it writes the tree of the
+// point-list average-linkage merges, because the replaced loop's
+// weighted-average update splits exact ties by rounding.
+func TestJoinMatchesOracle(t *testing.T) {
+	upgmaChanged, ints := 0, 0
+	for seed := int64(0); seed < 3200; seed++ {
+		names, d := diffMatrix(seed)
+		if len(names) < 2 {
+			if _, err := UPGMA(names, d); !errors.Is(err, ErrTooFewTaxa) {
+				t.Fatalf("seed %d: UPGMA on one taxon: err = %v", seed, err)
+			}
+			continue
+		}
+		write := func(build func([]string, [][]float64) (*tree.Tree, error)) string {
+			tr, err := build(names, d)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			return newick.Write(tr)
+		}
+		if got, want := write(NeighborJoining), write(oracle.NeighborJoining); got != want {
+			t.Fatalf("seed %d: NJ = %s, want %s", seed, got, want)
+		}
+		got, old := write(UPGMA), write(oracle.UPGMA)
+		want := old
+		if seed%2 == 1 {
+			want = mergesNewick(names, oracle.Agglomerate(d, "average"))
+			ints++
+			if got != old {
+				upgmaChanged++
+			}
+		}
+		if got != want {
+			t.Fatalf("seed %d: UPGMA = %s, want %s", seed, got, want)
+		}
+	}
+	t.Logf("UPGMA differs from the weighted-average loop on %d of %d integer matrices", upgmaChanged, ints)
+}
+
+func benchBuild(b *testing.B, engine, old func([]string, [][]float64) (*tree.Tree, error)) {
+	names, d := randInput(rand.New(rand.NewSource(1)), 200, false)
+	for _, leg := range []struct {
+		name  string
+		build func([]string, [][]float64) (*tree.Tree, error)
+	}{{"engine", engine}, {"oracle", old}} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := leg.build(names, d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkUPGMA builds a 200-taxon UPGMA tree with the engine and with
+// the loop it replaced.
+func BenchmarkUPGMA(b *testing.B) { benchBuild(b, UPGMA, oracle.UPGMA) }
+
+// BenchmarkNeighborJoining builds a 200-taxon NJ tree with the engine
+// and with the loop it replaced.
+func BenchmarkNeighborJoining(b *testing.B) { benchBuild(b, NeighborJoining, oracle.NeighborJoining) }

@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"treemine/internal/core"
@@ -610,30 +609,6 @@ func TestCompactShardV4SmallSections(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestSupportOrder: the counting permutation is the stable
-// support-descending order sort.SliceStable gave, for spans of one
-// digit, of exactly 16 bits, and of several passes.
-func TestSupportOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, tc := range []struct {
-		n    int
-		span int64
-	}{{0, 1}, {1, 5}, {2, 1}, {1000, 1}, {5000, 40}, {5000, 1 << 16}, {20000, 1 << 17}, {20000, 1 << 40}} {
-		sup := make([]int64, tc.n)
-		for i := range sup {
-			sup[i] = 1 + rng.Int63n(tc.span)
-		}
-		want := make([]uint32, tc.n)
-		for i := range want {
-			want[i] = uint32(i)
-		}
-		sort.SliceStable(want, func(i, j int) bool { return sup[want[i]] > sup[want[j]] })
-		if got := supportOrder(tc.n, func(i int) int64 { return sup[i] }); !slices.Equal(got, want) {
-			t.Fatalf("n=%d span=%d: order differs from the stable sort", tc.n, tc.span)
 		}
 	}
 }
